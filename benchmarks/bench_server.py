@@ -39,7 +39,7 @@ def workload_db():
 
 @pytest.fixture(scope="module")
 def state():
-    with ServerState(workload_db(), engine="hashjoin") as server_state:
+    with ServerState(workload_db(), config="hashjoin") as server_state:
         server_state.run_query(QUERY_TEXT)  # warm: plan, cache entry
         yield server_state
 
@@ -88,7 +88,7 @@ def test_server_cold_evaluation(benchmark, state):
 def _http_round_trip_warm(benchmark, server_mode):
     """The full stack on a warm cache: socket, HTTP parse, cached bytes."""
     server = make_server(
-        workload_db(), engine="hashjoin", server_mode=server_mode
+        workload_db(), config="hashjoin", server_mode=server_mode
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -44,7 +44,7 @@ def request(host, port, method, path, body=None):
 
 def main():
     db = random_database({"Edge": 2}, list(range(25)), n_facts=400, seed=11)
-    server = make_server(db, engine="hashjoin")
+    server = make_server(db, config="hashjoin")
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -17,7 +17,7 @@ def _readme() -> str:
 
 setup(
     name="repro-provenance-minimization",
-    version="1.5.0",
+    version="1.6.0",
     description=(
         "Reproduction of 'On Provenance Minimization' (PODS 2011): "
         "N[X] provenance, CQ/UCQ minimization, incremental view "

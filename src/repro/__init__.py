@@ -116,7 +116,7 @@ from repro.semiring.polynomial import Monomial, Polynomial
 from repro.server import ResultCache, ServerState, make_server
 from repro.session import QuerySession
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     # engine configuration facade (the documented way to pick engines)

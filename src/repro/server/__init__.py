@@ -2,36 +2,32 @@
 
 The serving tier fronts a long-lived
 :class:`~repro.session.QuerySession` (and, when a view program is
-given, a :class:`~repro.incremental.registry.ViewRegistry`) with one of
-two interchangeable front ends behind
-:func:`~repro.server.app.make_server`:
+given, a :class:`~repro.incremental.registry.ViewRegistry`).  One
+request core decides every response; two interchangeable transports
+behind :func:`~repro.server.app.make_server` carry it:
 
-* :class:`~repro.server.aio.AsyncProvenanceServer` — the asyncio event
-  loop tier (``server_mode="async"``): every connection is a suspended
-  coroutine, deadlines bound every read, a pending-request gate sheds
-  load with 503s, and large bodies stream chunked;
+* :mod:`repro.server.core` — the route table (and the one endpoint
+  table, in its docstring), ``Request``/``Response`` and ``handle()``:
+  validation, the error contract, the ``/v1`` mount, metrics and the
+  request log, with no socket in sight;
+* :class:`~repro.server.aio.AsyncProvenanceServer` — the asyncio
+  transport (``server_mode="async"``): every connection is a suspended
+  coroutine, deadlines bound every read, a pending-call gate sheds
+  load with 503s, large bodies stream chunked, changefeeds are SSE;
 * :class:`~repro.server.app.ProvenanceServer` — the classic
   one-thread-per-connection :class:`http.server.ThreadingHTTPServer`
-  fallback (``server_mode="threaded"``).
+  transport (``server_mode="threaded"``); changefeeds long-poll.
 
-Shared underneath either:
+Shared underneath:
 
 * :class:`~repro.server.app.ServerState` — the state behind all
-  requests: the session, the optional registry, and the version-keyed
-  result cache;
-* :class:`~repro.server.cache.ResultCache` /
-  :class:`~repro.server.cache.AsyncResultCache` — results keyed by
-  ``(canonical query text, db version, engine options)`` with LRU
-  bounds and single-flight deduplication (events for threads, awaitable
-  futures for the loop).
-
-Responses are byte-identical across the two modes — the differential
-suite asserts it.  The whole surface is additionally mounted under
-``/v1/`` (legacy paths answer identically with a ``Deprecation``
-header), and both tiers serve continuous queries via
-:class:`~repro.server.subscriptions.SubscriptionHub`:
-``POST /v1/subscribe`` + ``GET /v1/changefeed/<id>`` (SSE on the async
-tier, long-poll on the threaded tier).
+  requests: the session, the optional registry, the changefeed
+  :class:`~repro.server.subscriptions.SubscriptionHub` and the result
+  cache;
+* :class:`~repro.server.cache.ResultCache` — results keyed by
+  ``(canonical query text, db version, engine options)`` with an LRU
+  bound and single-flight deduplication; one locked instance serves
+  both transports (threads block on a flight, coroutines await it).
 """
 
 from repro.server.app import (
@@ -41,7 +37,7 @@ from repro.server.app import (
     encode_results,
     make_server,
 )
-from repro.server.cache import AsyncResultCache, ResultCache
+from repro.server.cache import ResultCache
 from repro.server.subscriptions import (
     ChangefeedEvent,
     Subscription,
@@ -50,7 +46,6 @@ from repro.server.subscriptions import (
 
 __all__ = [
     "AsyncProvenanceServer",
-    "AsyncResultCache",
     "ChangefeedEvent",
     "ProvenanceServer",
     "ResultCache",

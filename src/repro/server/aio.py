@@ -1,71 +1,55 @@
-"""The asyncio serving tier: one event loop, 10k+ connections.
+"""The asyncio transport: one event loop, 10k+ connections.
 
-:class:`AsyncProvenanceServer` serves the exact endpoint surface of the
-threaded :class:`~repro.server.app.ProvenanceServer` — same routes,
-same error contract, byte-identical bodies (the differential suite
-asserts it) — but holds every open connection as one suspended
-coroutine instead of one blocked thread:
+:class:`AsyncProvenanceServer` answers exactly what the threaded
+:class:`~repro.server.app.ProvenanceServer` answers — both drive the
+same :func:`repro.server.core.handle` — but holds every open
+connection as one suspended coroutine instead of one blocked thread:
 
 * **accept/parse** is non-blocking HTTP/1.1 with keep-alive on asyncio
   streams, with idle/header/body deadlines so a stalled client costs a
   timer, never a worker;
-* **the result cache** is the loop-confined
-  :class:`~repro.server.cache.AsyncResultCache`: a miss parks every
-  concurrent duplicate on one :class:`asyncio.Future` while a single
-  leader computes;
-* **engine work** — the blocking :meth:`ServerState.compute_query_entry`
-  /`compute_batch_entries`/`apply_update`/`read_view` calls, which take
-  the session lock and drive the sharded pool — is dispatched off-loop
-  via ``run_in_executor`` with a copied :mod:`contextvars` context, so
+* **the core runs on the loop**: routing, validation, parse and the
+  cache lookup of :func:`~repro.server.core.handle` execute inline, so
+  a warm hit, ``/stats`` and ``/metrics`` never leave it;
+* **waits are awaited**: a deduplicated miss awaits the leader's
+  flight (a thousand waiters cost a thousand suspended coroutines),
+  and a blocking engine call — the leader's computation, a batch,
+  ``apply_update``, ``read_view``, which take the session lock and
+  drive the sharded pool — is dispatched off-loop via
+  ``run_in_executor`` with a copied :mod:`contextvars` context, so
   tracing spans and cache-outcome reporting behave exactly as on the
-  threaded tier;
-* **backpressure** is a bounded pending-request gate: when
-  ``max_pending`` engine-bound requests are already admitted, new ones
-  get an immediate ``503`` with ``Retry-After`` (``/stats`` and
-  ``/metrics`` stay exempt so operators can always look);
+  threaded transport;
+* **backpressure** is a bounded pending-call gate: when ``max_pending``
+  engine calls are already admitted, the next one is refused and the
+  core answers ``503`` with ``Retry-After`` (``/stats`` and
+  ``/metrics`` never call, so operators can always look);
 * **large bodies** (big provenance polynomials) stream out chunked,
   with a ``drain()`` await between chunks so one slow reader never
-  buffers unboundedly.
+  buffers unboundedly;
+* **changefeeds** stream as Server-Sent Events.
 
 The blocking facade matches socketserver's — ``server_address`` is
 available right after construction, ``serve_forever()`` blocks,
 ``shutdown()`` is thread-safe and waits for the loop to exit, and
 ``close()`` releases everything — so the CLI and tests drive either
-tier through the same five calls.
+transport through the same five calls.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import logging
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from email.utils import formatdate
 from functools import partial
 from http.client import responses
-from time import perf_counter
 from typing import Dict, Optional, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import ReproError
-from repro.obs.metrics import EXPOSITION_CONTENT_TYPE
-from repro.obs.trace import tracing
-from repro.server.app import DEFAULT_REQUEST_TIMEOUT, ServerState, canonical_json
-from repro.server.cache import AsyncResultCache, last_outcome, reset_outcome
-from repro.server.handlers import (
-    _GET_PATHS,
-    _POST_PATHS,
-    MAX_BODY_BYTES,
-    _flag,
-    endpoint_label,
-    error_body,
-    parse_json_body,
-    split_api_version,
-)
-from repro.server.subscriptions import SubscriptionError
+from repro.server import core
+from repro.server.app import DEFAULT_REQUEST_TIMEOUT, ServerState
 
 #: Keep-alive idle deadline (seconds): how long a connection may sit
 #: between requests before the server closes it.
@@ -76,9 +60,6 @@ DEFAULT_MAX_PENDING = 256
 
 #: Response bodies at least this large are streamed chunked.
 DEFAULT_STREAM_THRESHOLD = 1 << 20
-
-#: How long graceful shutdown waits for in-flight requests to finish.
-DEFAULT_DRAIN_TIMEOUT = 5.0
 
 #: Idle SSE streams emit a comment frame this often: it keeps
 #: intermediaries from timing the stream out and doubles as a
@@ -104,50 +85,11 @@ _CHUNK = 256 * 1024
 #: reader can pin.
 _STREAM_WINDOW = 2 << 20
 
-_LOGGER = logging.getLogger("repro.server")
+#: How long graceful shutdown waits for in-flight requests to finish.
+_DRAIN_TIMEOUT = 5.0
 
-
-class _ProtocolError(Exception):
-    """An HTTP-level rejection: status, message, and always-close."""
-
-    def __init__(self, status: int, message: str):  # noqa: D107
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-class _Backpressure(Exception):
-    """Raised when the bounded engine-work queue is full (→ 503)."""
-
-
-class _Request:
-    """One parsed request head (+ body, filled in by dispatch).
-
-    ``path`` is the *effective* path — the ``/v1`` mount already
-    stripped (``v1`` records whether it was present, ``raw_path`` what
-    the client sent) — so routing and metrics labels are shared
-    verbatim with the threaded tier.
-    """
-
-    __slots__ = (
-        "method",
-        "path",
-        "raw_path",
-        "v1",
-        "query_string",
-        "headers",
-        "version_11",
-        "close",
-    )
-
-    def __init__(self, method, path, query_string, headers, version_11, close):  # noqa: D107
-        self.method = method
-        self.raw_path = path
-        self.v1, self.path = split_api_version(path)
-        self.query_string = query_string
-        self.headers = headers
-        self.version_11 = version_11
-        self.close = close
+#: Threads running blocking engine calls (the stdlib executor default).
+_EXECUTOR_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 
 class _ConnFlags:
@@ -177,25 +119,18 @@ class AsyncProvenanceServer:
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
         max_pending: int = DEFAULT_MAX_PENDING,
         stream_threshold: int = DEFAULT_STREAM_THRESHOLD,
-        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-        executor_workers: Optional[int] = None,
     ):  # noqa: D107
         self.state = state
         self._request_timeout = request_timeout
         self._idle_timeout = idle_timeout
         self._max_pending = max_pending
         self._stream_threshold = stream_threshold
-        self._drain_timeout = drain_timeout
         self._socket = socket.create_server(address, backlog=1024)
         self.server_address = self._socket.getsockname()
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers or min(32, (os.cpu_count() or 1) + 4),
+            max_workers=_EXECUTOR_WORKERS,
             thread_name_prefix="repro-aio",
         )
-        # The loop-confined cache replaces the state's threaded one so
-        # /stats reports the cache actually serving.
-        self._cache = AsyncResultCache(state.cache.capacity)
-        state.attach_cache(self._cache)
         self._connections: Dict[object, _ConnFlags] = {}
         self._pending = 0
         self._stopping = False
@@ -257,8 +192,7 @@ class AsyncProvenanceServer:
 
         Thread-safe, like ``socketserver.BaseServer.shutdown``: new
         connections stop being accepted, idle keep-alive connections
-        are closed, in-flight requests get ``drain_timeout`` seconds to
-        finish, and then :meth:`serve_forever` returns.
+        are closed, in-flight requests get a few seconds to finish, and then :meth:`serve_forever` returns.
         """
         self._shutdown_requested.set()
         loop, stop = self._loop, self._stop_event
@@ -327,7 +261,7 @@ class AsyncProvenanceServer:
         pending = [task for task in connections if not task.done()]
         if pending:
             _done, pending = await asyncio.wait(
-                pending, timeout=self._drain_timeout
+                pending, timeout=_DRAIN_TIMEOUT
             )
             for task in pending:
                 task.cancel()
@@ -345,26 +279,26 @@ class AsyncProvenanceServer:
         try:
             while not self._stopping:
                 try:
-                    request = await self._read_head(reader)
-                except _ProtocolError as error:
+                    head = await self._read_head(reader)
+                except core.HTTPError as error:
                     # Pre-request protocol garbage: respond (uncounted,
-                    # matching the threaded tier's send_error paths) and
+                    # like the threaded transport's send_error paths) and
                     # drop the connection.
                     await self._write_response(
                         writer,
-                        None,
-                        error.status,
-                        canonical_json({"error": error.message}),
-                        "application/json",
-                        {},
+                        core.Response(
+                            error.status,
+                            core.error_body(error.status, error.message, False),
+                        ),
+                        True,
                         True,
                     )
                     break
-                if request is None:
+                if head is None:
                     break  # EOF or idle keep-alive expiry
                 flags.busy = True
                 try:
-                    keep = await self._dispatch(reader, writer, request)
+                    keep = await self._dispatch(reader, writer, *head)
                 finally:
                     flags.busy = False
                 if not keep:
@@ -382,9 +316,12 @@ class AsyncProvenanceServer:
             except Exception:
                 pass
 
-    async def _read_head(self, reader) -> Optional[_Request]:
+    async def _read_head(
+        self, reader
+    ) -> Optional[Tuple[core.Request, bool, bool]]:
         """Read and parse one request line + headers (idle deadline).
 
+        Returns ``(request, is HTTP/1.1, close after responding)``;
         ``None`` means "close quietly": EOF, the keep-alive idle
         deadline expired, or the client vanished mid-headers.
         """
@@ -395,15 +332,15 @@ class AsyncProvenanceServer:
         if not line:
             return None
         if len(line) > _MAX_LINE:
-            raise _ProtocolError(400, "request line too long")
+            raise core.HTTPError(400, "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            raise _ProtocolError(
+            raise core.HTTPError(
                 400, "malformed request line {!r}".format(line.decode("latin-1"))
             )
         method, target, version = parts
         if not version.startswith("HTTP/1."):
-            raise _ProtocolError(
+            raise core.HTTPError(
                 505, "unsupported protocol version {!r}".format(version)
             )
         headers: Dict[str, str] = {}
@@ -413,7 +350,7 @@ class AsyncProvenanceServer:
                     reader.readline(), self._request_timeout
                 )
             except asyncio.TimeoutError:
-                raise _ProtocolError(408, "timed out reading request headers")
+                raise core.HTTPError(408, "timed out reading request headers")
             except ConnectionError:
                 return None
             if line in (b"\r\n", b"\n"):
@@ -421,16 +358,15 @@ class AsyncProvenanceServer:
             if not line:
                 return None  # EOF mid-headers
             if len(line) > _MAX_LINE:
-                raise _ProtocolError(431, "header line too long")
+                raise core.HTTPError(431, "header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
-                raise _ProtocolError(
+                raise core.HTTPError(
                     400, "malformed header line {!r}".format(line.decode("latin-1"))
                 )
             headers[name.strip().lower()] = value.strip()
         else:
-            raise _ProtocolError(431, "too many request headers")
-        split = urlsplit(target)
+            raise core.HTTPError(431, "too many request headers")
         version_11 = version == "HTTP/1.1"
         connection = headers.get("connection", "").lower()
         if "close" in connection:
@@ -439,174 +375,79 @@ class AsyncProvenanceServer:
             close = False
         else:
             close = "keep-alive" not in connection
-        return _Request(method, split.path, split.query, headers, version_11, close)
+        request = core.Request(method, target, headers.get("content-length"))
+        return request, version_11, close
 
-    async def _read_body(self, reader, request: _Request) -> bytes:
-        """Drain the request body (body deadline; same 400s as threaded)."""
-        header = request.headers.get("content-length") or "0"
-        try:
-            length = int(header)
-            if length < 0:
-                raise ValueError(header)
-        except ValueError:
-            raise _ProtocolError(
-                400, "invalid Content-Length header {!r}".format(header)
-            )
-        if length > MAX_BODY_BYTES:
-            raise _ProtocolError(
-                400, "request body exceeds {} bytes".format(MAX_BODY_BYTES)
-            )
-        if length == 0:
-            return b""
-        try:
-            return await asyncio.wait_for(
-                reader.readexactly(length), self._request_timeout
-            )
-        except asyncio.TimeoutError:
-            # The promised body never (fully) arrived: the liveness fix
-            # the threaded tier mirrors with its socket timeout.
-            raise _ProtocolError(408, "timed out reading the request body")
-
-    async def _dispatch(self, reader, writer, request: _Request) -> bool:
+    async def _dispatch(
+        self, reader, writer, request: core.Request, version_11: bool, close: bool
+    ) -> bool:
         """Run one request end to end; ``True`` to keep the connection.
 
-        Accounting mirrors the threaded handler: ``request_started`` /
-        ``request_finished`` always pair (the in-flight counter cannot
-        leak past a crashing route), the metrics observation lands
-        before the response bytes go out, and body-level protocol
-        errors are counted while request-line garbage is not.
+        Drives :func:`core.handle` with every step awaited.  Accounting
+        mirrors the threaded handler: ``request_started`` /
+        ``request_finished`` always pair, and body-level protocol
+        errors are counted (the core shapes them) while request-line
+        garbage is not.
         """
         state = self.state
-        started = perf_counter()
-        reset_outcome()
-        close = request.close
         state.request_started()
+        steps = core.handle(state, request)
         try:
             try:
-                raw = await self._read_body(reader, request)
-                if (
-                    request.method == "GET"
-                    and request.v1
-                    and request.path.startswith("/changefeed/")
-                ):
-                    # The SSE stream writes its own head and frames; it
-                    # never fits the (status, body) tuple shape below.
-                    # Resolution errors (unknown subscription, bad
-                    # cursor, no registry) raise out of _resolve and
-                    # land in the ordinary error machinery.
-                    subscription, cursor = self._resolve_changefeed(request)
-                    return await self._stream_changefeed(
-                        writer, request, started, subscription, cursor
-                    )
-                status, body, ctype, extra, must_close = await self._route(
-                    request, raw
-                )
-            except _ProtocolError as error:
-                # The body is undrained in every _ProtocolError case, so
-                # the socket must never be reused.
-                status, body, ctype, extra, must_close = (
-                    error.status,
-                    error_body(error.status, error.message, request.v1),
-                    "application/json",
-                    {},
-                    True,
-                )
-            except _Backpressure:
-                # The body is drained, so load shedding keeps the
-                # connection alive; Retry-After tells well-behaved
-                # clients when to come back.
-                self._rejected.inc()
-                status, body, ctype, extra, must_close = (
-                    503,
-                    error_body(
-                        503,
-                        "server is at capacity; retry shortly",
-                        request.v1,
-                    ),
-                    "application/json",
-                    {"Retry-After": "1"},
-                    False,
-                )
-            except SubscriptionError as error:
-                status, body, ctype, extra, must_close = (
-                    error.status,
-                    error_body(
-                        error.status, str(error), request.v1, error.code
-                    ),
-                    "application/json",
-                    {},
-                    False,
-                )
-            except ReproError as error:
-                status, body, ctype, extra, must_close = (
-                    400,
-                    error_body(400, str(error), request.v1),
-                    "application/json",
-                    {},
-                    False,
-                )
-            except asyncio.IncompleteReadError:
-                return False  # client hung up mid-body
-            except ConnectionError:
-                return False
-            except Exception as error:  # pragma: no cover - defensive
-                status, body, ctype, extra, must_close = (
-                    500,
-                    error_body(
-                        500,
-                        "{}: {}".format(type(error).__name__, error),
-                        request.v1,
-                    ),
-                    "application/json",
-                    {},
-                    False,
-                )
-            close = close or must_close
-            if not request.v1:
-                extra = dict(extra)
-                extra["Deprecation"] = "true"
-                extra["Link"] = '</v1{}>; rel="successor-version"'.format(
-                    request.path
-                )
-            # Observe BEFORE the body bytes go out: a client that reads
-            # the response and immediately scrapes /metrics must find
-            # this request already counted.
-            duration = perf_counter() - started
-            state.observe_request(
-                endpoint_label(request.path), request.method, status, duration
-            )
-            outcome = last_outcome()
-            _LOGGER.info(
-                "%s %s -> %d %.2fms%s",
-                request.method,
-                request.raw_path,
-                status,
-                duration * 1e3,
-                " cache={}".format(outcome) if outcome else "",
-            )
-            sent = await self._write_response(
-                writer, request, status, body, ctype, extra, close
-            )
+                step = next(steps)
+                while True:
+                    if isinstance(step, core.Feed):
+                        return await self._stream_changefeed(
+                            writer, request, step.subscription, step.cursor
+                        )
+                    try:
+                        value = await self._perform(reader, step)
+                    except (asyncio.IncompleteReadError, ConnectionError):
+                        return False  # client hung up mid-body
+                    except Exception as error:
+                        step = steps.throw(error)
+                    else:
+                        step = steps.send(value)
+            except StopIteration as done:
+                response = done.value
+            close = close or response.close
+            sent = await self._write_response(writer, response, version_11, close)
             return sent and not close
         finally:
+            steps.close()
             state.request_finished()
 
+    async def _perform(self, reader, step):
+        """Take one serving step the asyncio way."""
+        if isinstance(step, core.Body):
+            try:
+                return await asyncio.wait_for(
+                    reader.readexactly(step.length), self._request_timeout
+                )
+            except asyncio.TimeoutError:
+                raise core.BodyTimeout()
+        if isinstance(step, Future):
+            # A single-flight waiter: parked on the loop, never on an
+            # executor thread, and never counted against max_pending.
+            return await asyncio.wrap_future(step)
+        return await self._offload(step)
+
     async def _write_response(
-        self, writer, request, status, body, content_type, extra, close
+        self, writer, response: core.Response, version_11: bool, close: bool
     ) -> bool:
-        version_11 = request.version_11 if request is not None else True
+        status, body = response.status, response.body
         chunked = version_11 and len(body) >= self._stream_threshold
         head = [
             "HTTP/1.1 {} {}".format(status, responses.get(status, "Unknown")),
             "Server: repro-prov",
             "Date: {}".format(formatdate(usegmt=True)),
-            "Content-Type: {}".format(content_type),
+            "Content-Type: {}".format(response.content_type),
         ]
         if chunked:
             head.append("Transfer-Encoding: chunked")
         else:
             head.append("Content-Length: {}".format(len(body)))
-        for name, value in extra.items():
+        for name, value in response.headers.items():
             head.append("{}: {}".format(name, value))
         if close:
             head.append("Connection: close")
@@ -635,160 +476,10 @@ class AsyncProvenanceServer:
             return False
 
     # ------------------------------------------------------------------
-    # Routing (mirrors handlers.py, route for route)
+    # Changefeeds: SSE streaming (this transport's native push)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _ok(body: bytes) -> Tuple:
-        return (200, body, "application/json", {}, False)
-
-    @staticmethod
-    def _err(
-        request: _Request, status: int, message: str, code: str = None
-    ) -> Tuple:
-        return (
-            status,
-            error_body(status, message, request.v1, code),
-            "application/json",
-            {},
-            False,
-        )
-
-    async def _route(self, request: _Request, raw: bytes) -> Tuple:
-        state = self.state
-        path = request.path
-        if request.method == "POST":
-            if path == "/subscribe" and request.v1:
-                return await self._route_post(request, raw)
-            if path.startswith("/changefeed/") and request.v1:
-                return self._err(
-                    request, 405, "{} only accepts GET or DELETE".format(path)
-                )
-            if path in _POST_PATHS:
-                return await self._route_post(request, raw)
-            if path in _GET_PATHS or path.startswith("/views/"):
-                return self._err(
-                    request, 405, "{} only accepts GET".format(path)
-                )
-            return self._err(request, 404, "unknown path {}".format(path))
-        if request.method == "GET":
-            if path == "/stats":
-                return self._ok(canonical_json(state.stats()))
-            if path == "/metrics":
-                if not state.metrics_enabled:
-                    return self._err(
-                        request, 404, "metrics are disabled on this server"
-                    )
-                return (
-                    200,
-                    state.render_metrics().encode("utf-8"),
-                    EXPOSITION_CONTENT_TYPE,
-                    {},
-                    False,
-                )
-            if path == "/trace" or path.startswith("/views/"):
-                return await self._route_get(request, raw)
-            if path == "/subscribe" and request.v1:
-                return self._err(request, 405, "/subscribe only accepts POST")
-            if path in _POST_PATHS:
-                return self._err(
-                    request, 405, "{} only accepts POST".format(path)
-                )
-            return self._err(request, 404, "unknown path {}".format(path))
-        if request.method == "DELETE":
-            if path.startswith("/changefeed/") and request.v1:
-                sub_id = unquote(path[len("/changefeed/"):])
-                return self._ok(
-                    await self._offload(state.unsubscribe, sub_id)
-                )
-            known = (
-                path in _POST_PATHS
-                or path in _GET_PATHS
-                or path.startswith("/views/")
-                or (path == "/subscribe" and request.v1)
-            )
-            if known:
-                return self._err(
-                    request, 405, "{} does not accept DELETE".format(path)
-                )
-            return self._err(request, 404, "unknown path {}".format(path))
-        return self._err(
-            request, 501, "unsupported method {}".format(request.method)
-        )
-
-    async def _route_post(self, request: _Request, raw: bytes) -> Tuple:
-        state = self.state
-        path = request.path
-        if path == "/subscribe":
-            payload = parse_json_body(raw)
-            return self._ok(await self._offload(state.subscribe, payload))
-        if path == "/query":
-            payload = parse_json_body(raw)
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("query"), str
-            ):
-                raise ReproError(
-                    "POST /query expects {\"query\": \"<rule text>\"}"
-                )
-            if _flag(parse_qs(request.query_string), "trace"):
-                return self._ok(await self._serve_traced(payload["query"]))
-            entry = await self._serve_query(payload["query"])
-            return self._ok(entry.body)
-        if path == "/batch":
-            payload = parse_json_body(raw)
-            texts = payload.get("queries") if isinstance(payload, dict) else None
-            if not isinstance(texts, list) or not all(
-                isinstance(text, str) for text in texts
-            ):
-                raise ReproError(
-                    "POST /batch expects {\"queries\": [\"<rule text>\", ...]}"
-                )
-            return self._ok(await self._serve_batch(texts))
-        payload = parse_json_body(raw)  # /update
-        return self._ok(await self._offload(state.apply_update, payload))
-
-    async def _route_get(self, request: _Request, raw: bytes) -> Tuple:
-        state = self.state
-        query = parse_qs(request.query_string)
-        if request.path == "/trace":
-            texts = query.get("query")
-            if not texts:
-                raise ReproError(
-                    "GET /trace expects ?query=<url-encoded rule text>"
-                )
-            return self._ok(await self._serve_traced(texts[-1]))
-        name = unquote(request.path[len("/views/"):])
-        try:
-            return self._ok(
-                await self._offload(state.read_view, name, _flag(query, "base"))
-            )
-        except ReproError as error:
-            return self._err(request, 404, str(error))
-
-    # ------------------------------------------------------------------
-    # Changefeeds: SSE streaming (this tier's native push transport)
-    # ------------------------------------------------------------------
-    def _resolve_changefeed(self, request: _Request):
-        """Validate a ``GET /v1/changefeed/<id>`` before streaming.
-
-        Runs on the loop *before* any response bytes go out, so lookup
-        failures still travel the ordinary JSON error path (404 with
-        the v1 envelope) instead of dying mid-stream.
-        """
-        state = self.state
-        hub = state._require_hub()
-        sub_id = unquote(request.path[len("/changefeed/"):])
-        subscription = hub.get(sub_id)
-        cursor = subscription.created_cursor
-        values = parse_qs(request.query_string).get("cursor")
-        if values:
-            try:
-                cursor = int(values[-1])
-            except ValueError:
-                raise ReproError("cursor must be an integer")
-        return subscription, cursor
-
     async def _stream_changefeed(
-        self, writer, request: _Request, started, subscription, cursor
+        self, writer, request: core.Request, subscription, cursor: int
     ) -> bool:
         """Stream one changefeed as Server-Sent Events until it dies.
 
@@ -816,16 +507,7 @@ class AsyncProvenanceServer:
         def waker() -> None:
             loop.call_soon_threadsafe(wake.set)
 
-        duration = perf_counter() - started
-        state.observe_request(
-            endpoint_label(request.path), request.method, 200, duration
-        )
-        _LOGGER.info(
-            "%s %s -> 200 %.2fms (sse stream opens)",
-            request.method,
-            request.raw_path,
-            duration * 1e3,
-        )
+        core.observe(state, request, 200, " (sse stream opens)")
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Server: repro-prov\r\n"
@@ -844,15 +526,9 @@ class AsyncProvenanceServer:
                 wake.clear()
                 events, needs_reset = hub.events_after(subscription, cursor)
                 if needs_reset:
-                    context = contextvars.copy_context()
                     events = [
-                        await loop.run_in_executor(
-                            self._executor,
-                            partial(
-                                context.run,
-                                state.build_reset_event,
-                                subscription,
-                            ),
+                        await self._run_blocking(
+                            partial(state.build_reset_event, subscription)
                         )
                     ]
                 if events:
@@ -898,100 +574,42 @@ class AsyncProvenanceServer:
             hub.remove_waker(subscription, waker)
 
     # ------------------------------------------------------------------
-    # The serving core: async single-flight over off-loop engine work
+    # Blocking engine calls: off the loop, behind the backpressure gate
     # ------------------------------------------------------------------
-    async def _offload(self, fn, *args):
-        """Run blocking engine work on the executor, context intact.
-
-        This is also the backpressure gate — the bounded request queue.
-        It counts blocking engine calls actually in flight: cache hits
-        and single-flight dedup waiters never offload, so a flood of
-        deduplicated identical queries stays cheap and admitted, while
-        the ``max_pending``-plus-first request that would *queue new
-        engine work* is shed with :class:`_Backpressure` (a 503 +
-        ``Retry-After`` upstairs).  ``/stats`` and ``/metrics`` never
-        offload, so operators can always look at a saturated server.
+    def _run_blocking(self, call) -> "asyncio.Future":
+        """Start ``call`` on the executor, context intact.
 
         ``run_in_executor`` does not propagate :mod:`contextvars`, so
         the ambient tracer (and anything else ambient) is carried over
         explicitly — spans recorded inside the engine land in the same
-        request trace as on the threaded tier.
+        request trace as on the threaded transport.
+        """
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, partial(contextvars.copy_context().run, call)
+        )
+
+    async def _offload(self, call):
+        """Run one blocking engine call off-loop, if there is room.
+
+        This is the backpressure gate — the bounded request queue.  It
+        counts blocking engine calls actually in flight: cache hits and
+        single-flight dedup waiters never get here, so a flood of
+        deduplicated identical queries stays cheap and admitted, while
+        the ``max_pending``-plus-first request that would *queue new
+        engine work* is refused with :class:`core.Overloaded` (a 503 +
+        ``Retry-After`` once the core has shaped it).
+
+        An admitted call always runs to completion: ``shield`` keeps a
+        cancelled connection task from cancelling a still-queued call,
+        whose single-flight waiters would otherwise never be answered.
         """
         if self._pending >= self._max_pending:
-            raise _Backpressure()
+            self._rejected.inc()
+            raise core.Overloaded()
         self._pending += 1
         self._pending_gauge.set(self._pending)
         try:
-            loop = asyncio.get_running_loop()
-            context = contextvars.copy_context()
-            return await loop.run_in_executor(
-                self._executor, partial(context.run, fn, *args)
-            )
+            return await asyncio.shield(self._run_blocking(call))
         finally:
             self._pending -= 1
             self._pending_gauge.set(self._pending)
-
-    async def _serve_query(self, text: str):
-        """The async twin of ``ServerState._serve_query``.
-
-        Parse and cache lookup happen on the loop; only the engine run
-        leaves it.  N concurrent identical misses run the engine once
-        (the other N-1 await the leader's future).
-        """
-        state = self.state
-        query, canonical = state.prepare_query(text)
-        version = state.session.db_version()
-
-        async def compute():
-            return await self._offload(
-                state.compute_query_entry, query, version
-            )
-
-        return await self._cache.get_or_compute(
-            state.cache_key(canonical, version), compute
-        )
-
-    async def _serve_traced(self, text: str) -> bytes:
-        state = self.state
-        with tracing("query", registry=state.metrics) as tracer:
-            entry = await self._serve_query(text)
-        return canonical_json({"result": entry.payload, "trace": tracer.tree()})
-
-    async def _serve_batch(self, texts) -> bytes:
-        """The async twin of :meth:`ServerState.run_queries`.
-
-        The cached prefix is collected on the loop; the misses run
-        through **one** off-loop session batch, exactly like the
-        threaded tier.
-        """
-        state = self.state
-        queries = []
-        canonicals = []
-        for text in texts:
-            query, canonical = state.prepare_query(text)
-            queries.append(query)
-            canonicals.append(canonical)
-        version = state.session.db_version()
-        entries = {}
-        for canonical in dict.fromkeys(canonicals):
-            cached = self._cache.get(state.cache_key(canonical, version))
-            if cached is not None:
-                entries[canonical] = cached
-        missing = [
-            (canonical, query)
-            for canonical, query in dict(zip(canonicals, queries)).items()
-            if canonical not in entries
-        ]
-        if missing:
-            computed, cacheable = await self._offload(
-                state.compute_batch_entries,
-                [query for _canonical, query in missing],
-                version,
-            )
-            for (canonical, _query), entry in zip(missing, computed):
-                entries[canonical] = entry
-                if cacheable:
-                    self._cache.put(state.cache_key(canonical, version), entry)
-        return canonical_json(
-            {"results": [entries[canonical].payload for canonical in canonicals]}
-        )

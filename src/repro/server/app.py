@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import Future
+from functools import partial
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,7 +51,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     histogram_percentiles,
 )
-from repro.obs.trace import current_tracer, tracing
+from repro.obs.trace import current_tracer
 from repro.query.aggregate import AggregateQuery, AnyQuery
 from repro.query.parser import parse_query
 from repro.query.printer import query_to_str
@@ -109,6 +111,39 @@ class _CachedResult:
         self.body = body
 
 
+def perform(step):
+    """Take one serving step the blocking way."""
+    return step.result() if isinstance(step, Future) else step()
+
+
+def resolve(steps, perform=perform):
+    """Drive a step generator to its return value, inline.
+
+    Serving code that may need to wait is written once, as a generator
+    that *yields* each wait instead of performing it: a
+    :class:`concurrent.futures.Future` means "wait for this" (a
+    single-flight ticket), a callable means "run this blocking call"
+    (engine work under the session lock).  Whoever drives the generator
+    decides how: here — handler threads, in-process callers — a thread
+    blocks; the asyncio server awaits the future and offloads the call.
+    A step that fails is thrown back in, so the generator's own
+    ``except`` clauses see transport failures and engine failures alike.
+    """
+    try:
+        step = next(steps)
+        while True:
+            try:
+                value = perform(step)
+            except Exception as error:
+                step = steps.throw(error)
+            else:
+                step = steps.send(value)
+    except StopIteration as done:
+        return done.value
+    finally:
+        steps.close()
+
+
 class ServerState:
     """Everything the request-handler threads share.
 
@@ -161,7 +196,6 @@ class ServerState:
         config = config.with_overrides(mode="thread")
         self._engine = config.engine
         self._config = config
-        self._options = config
         # Per-server registry (not the process-wide default) so parallel
         # test servers never bleed counters into each other; the null
         # registry makes every instrument below a shared no-op.  Created
@@ -360,27 +394,7 @@ class ServerState:
             return self._session.run_batch(queries)
 
     def _key(self, canonical: str, version: int):
-        return (canonical, version, self._options)
-
-    def cache_key(self, canonical: str, version: int):
-        """The result-cache key for a canonical query at a version.
-
-        Public for the async tier, which runs cache lookups on the
-        event loop against its own :class:`AsyncResultCache` but must
-        key them exactly like the threaded paths.
-        """
-        return self._key(canonical, version)
-
-    def attach_cache(self, cache) -> None:
-        """Swap in a different result cache.
-
-        The async tier installs its loop-confined
-        :class:`~repro.server.cache.AsyncResultCache` here so
-        ``/stats`` reports the cache actually serving.  The threaded
-        request paths must not be driven concurrently with a
-        loop-confined cache attached.
-        """
-        self._cache = cache
+        return (canonical, version, self._config)
 
     def _entry(self, query: AnyQuery, results, version: int) -> _CachedResult:
         payload = {
@@ -403,9 +417,7 @@ class ServerState:
         ``cacheable`` is the version-race check: a computation that ran
         at a later version than the one it was keyed under is returned
         fresh but must not be cached.  This is the blocking half of the
-        single-flight miss path, shared verbatim by the threaded tier
-        (called under :meth:`ResultCache.get_or_compute`) and the async
-        tier (dispatched to an executor thread off the event loop).
+        single-flight miss path (run under :meth:`ResultCache.lead`).
         """
         results, actual = self._session_run([query])
         return self._entry(query, results[0], actual), actual == version
@@ -425,75 +437,76 @@ class ServerState:
         ]
         return entries, actual == version
 
-    def _serve_query(self, text: str) -> _CachedResult:
-        query, canonical = self.prepare_query(text)
-        version = self._session.db_version()
-
-        def compute() -> Tuple[_CachedResult, bool]:
-            return self.compute_query_entry(query, version)
-
-        return self._cache.get_or_compute(
-            self._key(canonical, version), compute
-        )
-
-    def run_query(self, text: str) -> bytes:
-        """Serve one query text: the ``POST /query`` body bytes.
+    def query_steps(self, text: str):
+        """Serve one query text, as steps: returns its :class:`_CachedResult`.
 
         Cached under ``(canonical text, version, engine options)`` with
         single-flight deduplication — N concurrent identical requests
-        run the engine once.
+        run the engine once.  Parse and cache lookup happen right here,
+        in the caller's thread; a warm hit yields nothing at all, a
+        deduplicated waiter yields the flight's future, and only the
+        leader of a miss yields a blocking call (see :func:`resolve`).
         """
-        return self._serve_query(text).body
+        query, canonical = self.prepare_query(text)
+        version = self._session.db_version()
+        outcome, found = self._cache.lookup(self._key(canonical, version))
+        if outcome == "hit":
+            return found
+        if outcome == "wait":
+            return (yield found.future)
+        compute = partial(self.compute_query_entry, query, version)
+        try:
+            return (yield partial(self._cache.lead, found, compute))
+        except Exception as error:
+            # Either lead() raised and has already told the flight (then
+            # this is a no-op), or the call was refused before it ran
+            # (load shedding) and the waiters have yet to hear of it.
+            self._cache.fail(found, error)
+            raise
 
-    def run_query_traced(self, text: str) -> bytes:
-        """Serve one query with a span tree: ``POST /query?trace=1``.
-
-        The envelope is ``{"result": <the /query payload>, "trace":
-        <span tree>}`` — a different body than the untraced path by
-        design, so the byte-identity contract of plain ``/query`` is
-        untouched.  The tracer also feeds the server registry's
-        ``repro_stage_seconds`` histogram, so traced requests
-        contribute to the ``/metrics`` aggregates.
-        """
-        with tracing("query", registry=self._metrics) as tracer:
-            entry = self._serve_query(text)
-        return canonical_json(
-            {"result": entry.payload, "trace": tracer.tree()}
-        )
-
-    def run_queries(self, texts: Sequence[str]) -> bytes:
-        """Serve a query batch: the ``POST /batch`` body bytes.
+    def batch_steps(self, texts: Sequence[str]):
+        """Serve a query batch, as steps: returns the ``/batch`` body.
 
         The cached prefix is collected first; the misses — deduplicated
         within the batch — run through **one** session batch, sharing
         plans, shard runs and interned provenance.  Each entry of the
         response carries the version it was computed at.
         """
-        queries = [parse_query(text) for text in texts]
-        canonicals = [query_to_str(query) for query in queries]
+        prepared = [self.prepare_query(text) for text in texts]
         version = self._session.db_version()
         entries: Dict[str, _CachedResult] = {}
-        for canonical in dict.fromkeys(canonicals):
+        missing: Dict[str, AnyQuery] = {}
+        for query, canonical in prepared:
+            if canonical in entries or canonical in missing:
+                continue
             cached = self._cache.get(self._key(canonical, version))
             if cached is not None:
                 entries[canonical] = cached
-        missing = [
-            (canonical, query)
-            for canonical, query in dict(zip(canonicals, queries)).items()
-            if canonical not in entries
-        ]
+            else:
+                missing[canonical] = query
         if missing:
-            computed, cacheable = self.compute_batch_entries(
-                [query for _canonical, query in missing], version
+            computed, cacheable = yield partial(
+                self.compute_batch_entries, list(missing.values()), version
             )
-            for (canonical, _query), entry in zip(missing, computed):
+            for canonical, entry in zip(missing, computed):
                 entries[canonical] = entry
                 if cacheable:
                     self._cache.put(self._key(canonical, version), entry)
-        payload = {
-            "results": [entries[canonical].payload for canonical in canonicals]
-        }
-        return canonical_json(payload)
+        return canonical_json(
+            {
+                "results": [
+                    entries[canonical].payload for _query, canonical in prepared
+                ]
+            }
+        )
+
+    def run_query(self, text: str) -> bytes:
+        """Serve one query text: the ``POST /query`` body bytes."""
+        return resolve(self.query_steps(text)).body
+
+    def run_queries(self, texts: Sequence[str]) -> bytes:
+        """Serve a query batch: the ``POST /batch`` body bytes."""
+        return resolve(self.batch_steps(texts))
 
     def apply_update(self, payload) -> bytes:
         """Apply delta batches (the ``maintain`` JSON format) and bump
@@ -704,15 +717,8 @@ class ServerState:
 
     def unsubscribe(self, sub_id: str) -> bytes:
         """Serve ``DELETE /v1/changefeed/<id>``."""
-        from repro.server.subscriptions import UnknownSubscriptionError
-
-        hub = self._require_hub()
-        if not hub.unsubscribe(sub_id):
-            raise UnknownSubscriptionError(
-                "no subscription {!r} (it may have been dropped)".format(
-                    sub_id
-                )
-            )
+        self.subscription(sub_id)  # the typed 404 for an id not live
+        self._hub.unsubscribe(sub_id)
         return canonical_json({"subscription": sub_id, "unsubscribed": True})
 
     def build_reset_event(self, subscription):
@@ -738,10 +744,14 @@ class ServerState:
             ),
         )
 
+    def subscription(self, sub_id: str):
+        """Look up a live subscription (hub first, then the id)."""
+        return self._require_hub().get(sub_id)
+
     def changefeed_events(self, subscription, cursor: int):
         """Ring events past ``cursor``, reset-aware (non-blocking).
 
-        The shared consumption step of both tiers: returns the
+        The consumption step shared by long-poll and SSE: returns the
         pre-encoded events to push, substituting one ``reset`` event
         when the cursor fell off the replay ring.
         """
@@ -752,31 +762,18 @@ class ServerState:
             self._hub.record_delivered(len(events))
         return events
 
-    def changefeed_poll(
-        self, sub_id: str, cursor: Optional[int] = None, wait: float = 0.0
-    ) -> bytes:
-        """Serve the threaded tier's long-poll ``GET /v1/changefeed/<id>``.
+    def changefeed_poll(self, subscription, cursor: int, wait: float = 0.0) -> bytes:
+        """Answer ``GET /v1/changefeed/<id>`` as a long-poll.
 
-        Blocks server-side up to ``wait`` seconds (capped at
-        :data:`MAX_POLL_WAIT`) for events past ``cursor``, then answers
-        ``{"events": [...], "cursor": next}`` — an empty list on
-        timeout.  ``cursor`` defaults to the subscription's creation
-        cursor (replaying everything the ring holds).
+        Blocks up to ``wait`` seconds (capped at :data:`MAX_POLL_WAIT`)
+        for events past ``cursor``, then answers ``{"events": [...],
+        "cursor": next}`` — an empty list on timeout.
         """
-        hub = self._require_hub()
-        subscription = hub.get(sub_id)
-        if cursor is None:
-            cursor = subscription.created_cursor
-        if wait and wait > 0:
-            events, needs_reset = hub.wait_events(
-                subscription, cursor, min(float(wait), MAX_POLL_WAIT)
+        if wait > 0:
+            self._hub.wait_events(
+                subscription, cursor, min(wait, MAX_POLL_WAIT)
             )
-        else:
-            events, needs_reset = hub.events_after(subscription, cursor)
-        if needs_reset:
-            events = [self.build_reset_event(subscription)]
-        if events:
-            hub.record_delivered(len(events))
+        events = self.changefeed_events(subscription, cursor)
         return canonical_json(
             {
                 "subscription": subscription.id,

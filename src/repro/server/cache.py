@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.obs.trace import current_tracer
@@ -61,15 +62,25 @@ def reset_outcome() -> None:
 _MISSING = object()
 
 
-class _Flight:
-    """One in-flight computation; waiters block on :attr:`event`."""
+class Flight:
+    """One in-flight computation: the future its waiters wait on.
 
-    __slots__ = ("event", "value", "error")
+    The future is a :class:`concurrent.futures.Future`, so handler
+    threads block on ``future.result()`` and coroutines await
+    ``asyncio.wrap_future(future)`` — one ledger for both kinds of
+    waiter.  It is marked running at birth, which makes it
+    uncancellable: ``wrap_future`` forwards an awaiting task's
+    cancellation to its source, and one impatient waiter must never
+    cancel the flight under everyone else.
+    """
 
-    def __init__(self):  # noqa: D107
-        self.event = threading.Event()
-        self.value = None
-        self.error = None
+    __slots__ = ("key", "future", "waiters")
+
+    def __init__(self, key: Hashable):  # noqa: D107
+        self.key = key
+        self.future: Future = Future()
+        self.future.set_running_or_notify_cancel()
+        self.waiters = 0
 
 
 class ResultCache:
@@ -90,7 +101,7 @@ class ResultCache:
         self._capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._inflight: Dict[Hashable, _Flight] = {}
+        self._inflight: Dict[Hashable, Flight] = {}
         self._hits = 0
         self._misses = 0
         self._dedup_hits = 0
@@ -111,13 +122,13 @@ class ResultCache:
                 value = self._entries.get(key, _MISSING)
                 if value is _MISSING:
                     self._misses += 1
-                    span.set(outcome="miss")
-                    _LAST_OUTCOME.set("miss")
-                    return None
-                self._entries.move_to_end(key)
-                self._hits += 1
-            span.set(outcome="hit")
-            _LAST_OUTCOME.set("hit")
+                    value, outcome = None, "miss"
+                else:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    outcome = "hit"
+            span.set(outcome=outcome)
+            _LAST_OUTCOME.set(outcome)
             return value
 
     def put(self, key: Hashable, value) -> None:
@@ -125,66 +136,97 @@ class ResultCache:
         with self._lock:
             self._store(key, value)
 
-    def get_or_compute(self, key: Hashable, compute: Compute):
-        """The cached value for ``key``, computing it at most once.
+    def lookup(self, key: Hashable) -> Tuple[str, object]:
+        """One single-flight lookup: ``(outcome, found)``.
 
-        Concurrent callers with the same key are deduplicated: the first
-        becomes the leader and runs ``compute()``; the rest wait and
-        share its value (counted as ``dedup_hits``).  ``compute`` must
-        return ``(value, cacheable)``; when ``cacheable`` is false the
-        value is handed to every waiter but not stored.  If the leader
-        raises, every waiter re-raises the same exception.
+        ``("hit", value)`` — cached.  ``("miss", flight)`` — the caller
+        opened the flight and is its leader: it owes the flight one
+        :meth:`lead` (or :meth:`fail`).  ``("wait", flight)`` — someone
+        else leads; the caller waits on ``flight.future`` however suits
+        it (block, or await).  Never blocks, so an event loop can call
+        it directly.
         """
         with current_tracer().span("cache.lookup") as span:
             with self._lock:
-                value = self._entries.get(key, _MISSING)
-                if value is not _MISSING:
+                found = self._entries.get(key, _MISSING)
+                if found is not _MISSING:
                     self._entries.move_to_end(key)
                     self._hits += 1
-                    span.set(outcome="hit")
-                    _LAST_OUTCOME.set("hit")
-                    return value
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._inflight[key] = flight
-                    leader = True
+                    outcome = "hit"
                 else:
-                    leader = False
-                    self._waiters += 1
-                if leader:
-                    self._misses += 1
-            span.set(outcome="miss" if leader else "wait")
-            _LAST_OUTCOME.set("miss" if leader else "wait")
-        if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            with self._lock:
-                self._dedup_hits += 1
-            return flight.value
-        cacheable = False
+                    found = self._inflight.get(key)
+                    if found is None:
+                        found = self._inflight[key] = Flight(key)
+                        self._misses += 1
+                        outcome = "miss"
+                    else:
+                        found.waiters += 1
+                        self._waiters += 1
+                        outcome = "wait"
+            span.set(outcome=outcome)
+            _LAST_OUTCOME.set(outcome)
+        return outcome, found
+
+    def lead(self, flight: Flight, compute: Compute):
+        """Run ``compute()`` and publish its outcome to the flight.
+
+        ``compute`` must return ``(value, cacheable)``; when
+        ``cacheable`` is false the value is handed to every waiter but
+        not stored.  If it raises, every waiter re-raises the same
+        exception and nothing is cached.  Publication belongs to the
+        thread that ran the computation, not to whoever asked for it: a
+        leader that stops listening (its coroutine was cancelled) takes
+        nothing away from its waiters.
+        """
         try:
-            try:
-                value, cacheable = compute()
-                flight.value = value
-            except BaseException as error:
-                flight.error = error
-                raise
-        finally:
-            # Crash-proof wakeup: whatever happens between the
-            # computation and the wakeup — an exception while storing
-            # the entry, the leader thread dying outside ``compute`` —
-            # the waiters' event is set, so no waiter can block forever
-            # behind a leader that will never publish.
-            with self._lock:
-                self._inflight.pop(key, None)
-                try:
-                    if flight.error is None and cacheable:
-                        self._store(key, value)
-                finally:
-                    flight.event.set()
+            value, cacheable = compute()
+        except BaseException as error:
+            self.fail(flight, error)
+            raise
+        self._publish(flight, value, cacheable, None)
         return value
+
+    def fail(self, flight: Flight, error: BaseException) -> None:
+        """Publish ``error`` to the flight unless it already landed.
+
+        For a leader whose computation could not even start (the
+        transport shed it): its waiters must hear that, not hang.
+        """
+        self._publish(flight, None, False, error)
+
+    def _publish(self, flight: Flight, value, cacheable: bool, error) -> None:
+        future = flight.future
+        with self._lock:
+            if future.done():
+                return
+            self._inflight.pop(flight.key, None)
+            try:
+                if cacheable:
+                    self._store(flight.key, value)
+            finally:
+                # Crash-proof wakeup: even if storing the entry raises,
+                # the future resolves, so no waiter can block forever
+                # behind a leader that will never publish.
+                if error is None:
+                    self._dedup_hits += flight.waiters
+                    future.set_result(value)
+                else:
+                    future.set_exception(error)
+
+    def get_or_compute(self, key: Hashable, compute: Compute):
+        """The cached value for ``key``, computing it at most once.
+
+        The blocking composition of :meth:`lookup` and :meth:`lead`:
+        concurrent callers with the same key are deduplicated — the
+        first becomes the leader and runs ``compute()``, the rest block
+        on its flight and share its value (counted as ``dedup_hits``).
+        """
+        outcome, found = self.lookup(key)
+        if outcome == "hit":
+            return found
+        if outcome == "wait":
+            return found.future.result()
+        return self.lead(found, compute)
 
     def _store(self, key: Hashable, value) -> None:
         self._entries[key] = value
@@ -241,181 +283,4 @@ class ResultCache:
         stats = self.stats()
         return "<ResultCache {size}/{capacity}, {hits} hits, {misses} misses>".format(
             **stats
-        )
-
-
-class AsyncResultCache:
-    """The event-loop twin of :class:`ResultCache`.
-
-    Same key discipline (version in the key, invalidation by moving the
-    version on), same LRU bound, same single-flight semantics — but the
-    in-flight ledger holds :class:`asyncio.Future`\\ s instead of
-    :class:`threading.Event`\\ s, so a thousand deduplicated waiters
-    cost a thousand suspended coroutines, not a thousand blocked
-    threads.  Confined to one event loop by design: every method runs
-    on the loop, so there is no lock anywhere.
-
-    Leader semantics mirror the threaded cache: the first caller for a
-    key awaits ``compute()`` (which typically dispatches the engine to
-    an executor); every concurrent caller awaits the shared future.  A
-    leader's failure is propagated to every waiter and nothing is
-    cached; the future is resolved in a ``finally`` so waiters can
-    never hang behind a leader that died between the computation and
-    publication.  If the leader's task was *cancelled* (its client
-    disconnected mid-flight), one waiter takes over as the new leader
-    instead of failing spuriously.
-    """
-
-    def __init__(self, capacity: int = 256):  # noqa: D107
-        if capacity < 1:
-            raise ValueError("result cache capacity must be positive")
-        self._capacity = capacity
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._inflight: Dict[Hashable, "asyncio.Future"] = {}
-        self._hits = 0
-        self._misses = 0
-        self._dedup_hits = 0
-        self._evictions = 0
-        self._waiters = 0
-
-    # ------------------------------------------------------------------
-    # The serving path (all coroutines run on the owning event loop)
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable):
-        """The cached value for ``key`` or ``None`` (counts hit/miss)."""
-        with current_tracer().span("cache.lookup") as span:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                self._misses += 1
-                span.set(outcome="miss")
-                _LAST_OUTCOME.set("miss")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            span.set(outcome="hit")
-            _LAST_OUTCOME.set("hit")
-            return value
-
-    def put(self, key: Hashable, value) -> None:
-        """Store ``value`` under ``key``, evicting LRU entries on overflow."""
-        self._store(key, value)
-
-    async def get_or_compute(self, key: Hashable, compute):
-        """The cached value for ``key``, computing it at most once.
-
-        ``compute`` is an async callable returning ``(value,
-        cacheable)`` — the same contract as the threaded cache's
-        :data:`Compute`, awaited instead of called.
-        """
-        import asyncio
-
-        with current_tracer().span("cache.lookup") as span:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                span.set(outcome="hit")
-                _LAST_OUTCOME.set("hit")
-                return value
-            future = self._inflight.get(key)
-            if future is None:
-                self._misses += 1
-                span.set(outcome="miss")
-                _LAST_OUTCOME.set("miss")
-            else:
-                self._waiters += 1
-                span.set(outcome="wait")
-                _LAST_OUTCOME.set("wait")
-        if future is not None:
-            # ``shield`` keeps one waiter's cancellation (its client
-            # hung up) from cancelling the shared in-flight future.
-            try:
-                value = await asyncio.shield(future)
-            except asyncio.CancelledError:
-                if future.cancelled() or (
-                    future.done()
-                    and isinstance(future.exception(), asyncio.CancelledError)
-                ):
-                    # The leader's task died, not ours: take over.
-                    return await self.get_or_compute(key, compute)
-                raise
-            self._dedup_hits += 1
-            return value
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._inflight[key] = future
-        cacheable = False
-        error = None
-        value = None
-        try:
-            value, cacheable = await compute()
-            return value
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            # The asyncio analog of the threaded cache's crash-proof
-            # wakeup: publication happens in a ``finally``, so waiters
-            # always resolve.
-            self._inflight.pop(key, None)
-            if not future.cancelled():
-                if error is not None:
-                    future.set_exception(error)
-                    # Mark retrieved: with zero waiters nobody ever
-                    # awaits this future, and asyncio would otherwise
-                    # log "exception was never retrieved" at teardown.
-                    future.exception()
-                else:
-                    if cacheable:
-                        self._store(key, value)
-                    future.set_result(value)
-
-    def _store(self, key: Hashable, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-
-    # ------------------------------------------------------------------
-    # Inspection (plain sync reads; safe from the loop thread)
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """The same counter shape as :meth:`ResultCache.stats`."""
-        lookups = self._hits + self._misses + self._dedup_hits
-        served = self._hits + self._dedup_hits
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "dedup_hits": self._dedup_hits,
-            "evictions": self._evictions,
-            "single_flight_waiters": self._waiters,
-            "size": len(self._entries),
-            "capacity": self._capacity,
-            "inflight": len(self._inflight),
-            "hit_rate": (served / lookups) if lookups else 0.0,
-        }
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters (in-flight survive)."""
-        self._entries.clear()
-        self._hits = 0
-        self._misses = 0
-        self._dedup_hits = 0
-        self._evictions = 0
-        self._waiters = 0
-
-    @property
-    def capacity(self) -> int:
-        """The LRU bound this cache was built with."""
-        return self._capacity
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:
-        stats = self.stats()
-        return (
-            "<AsyncResultCache {size}/{capacity}, {hits} hits, "
-            "{misses} misses>".format(**stats)
         )

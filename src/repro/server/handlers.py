@@ -1,46 +1,11 @@
-"""HTTP request handling for the provenance server.
+"""The threaded transport: socket I/O for :class:`BaseHTTPRequestHandler`.
 
-The endpoint surface (bodies JSON unless noted), every route mounted
-both at its legacy path and under the versioned ``/v1`` prefix:
-
-======  ========================  ========================================
-Method  Path                      Body / response
-======  ========================  ========================================
-POST    ``/v1/query``             ``{"query": text}`` → annotated result
-                                  table (``?trace=1`` adds a span tree)
-POST    ``/v1/batch``             ``{"queries": [text, ...]}`` → tables
-POST    ``/v1/update``            delta batch(es), the ``maintain`` format
-POST    ``/v1/subscribe``         ``{"view": name}`` or ``{"query": text}``
-                                  → subscription id + cursor + snapshot
-GET     ``/v1/changefeed/<id>``   pushed view deltas: SSE on the async
-                                  tier, long-poll (``?cursor=&wait=``) on
-                                  the threaded tier
-DELETE  ``/v1/changefeed/<id>``   drop the subscription
-GET     ``/v1/views/<name>``      materialized view (``?base=1`` expands)
-GET     ``/v1/stats``             cache / request / latency counters
-GET     ``/v1/metrics``           Prometheus exposition (404 if disabled)
-GET     ``/v1/trace``             ``?query=<text>`` → result + span tree
-======  ========================  ========================================
-
-Legacy unversioned paths keep serving byte-identical bodies (the
-30-seed differential asserts ``/query`` ≡ ``/v1/query``) but answer
-with a ``Deprecation`` header; the subscribe/changefeed endpoints are
-v1-only.
-
-Error contract: malformed requests (bad JSON, missing keys, query parse
-errors, invalid deltas) are 400s; unknown paths, views and
-subscriptions are 404s; method mismatches are 405s; the subscription
-limit is a 429; everything else is a 500.  Legacy paths answer
-``{"error": message}`` exactly as before; ``/v1`` paths wrap every
-failure in the structured envelope ``{"error": {"code", "message",
-"detail"}}`` with a bounded machine-readable ``code``.
-
-Every finished request is folded into the server's metrics registry
-(count by endpoint/method/status, latency histogram by endpoint) and
-logged at INFO on the ``repro.server`` logger — method, path, status,
-duration and the result-cache outcome when the route consulted it.
-The logger follows stdlib convention: silent unless the application
-configures logging (the CLI's ``--log-level`` flag does).
+One handler thread per connection reads a request head, drives
+:func:`repro.server.core.handle` with every wait resolved inline — the
+thread blocks on the body read, on a single-flight future, inside the
+engine call, in the changefeed long-poll — and writes the response it
+gets back.  The endpoint table, the error contract and the request log
+are all in :mod:`repro.server.core`.
 """
 
 from __future__ import annotations
@@ -48,119 +13,19 @@ from __future__ import annotations
 import logging
 import socket
 from http.server import BaseHTTPRequestHandler
-from json import JSONDecodeError, loads
-from time import perf_counter
-from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import ReproError
-from repro.obs.metrics import EXPOSITION_CONTENT_TYPE
-from repro.server.app import canonical_json
-from repro.server.cache import last_outcome, reset_outcome
-from repro.server.subscriptions import SubscriptionError
-
-#: Paths that only accept POST (GETs get a 405 pointing at the verb).
-_POST_PATHS = ("/query", "/batch", "/update")
-
-#: Maximum accepted request body, a backstop against memory abuse.
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Paths that only accept GET.
-_GET_PATHS = ("/stats", "/metrics", "/trace")
-
-#: The bounded endpoint label set — every ``/views/<name>`` collapses to
-#: ``/views`` and unknown paths to ``other``, so a client scanning paths
-#: cannot inflate the metrics cardinality.
-_KNOWN_ENDPOINTS = frozenset(_POST_PATHS) | frozenset(_GET_PATHS) | {"/subscribe"}
-
-#: Status → machine-readable error code of the ``/v1`` error envelope.
-#: The set is bounded and documented; anything unmapped is "error".
-ERROR_CODES = {
-    400: "bad_request",
-    404: "not_found",
-    405: "method_not_allowed",
-    408: "timeout",
-    413: "payload_too_large",
-    429: "subscription_limit",
-    431: "headers_too_large",
-    500: "internal",
-    501: "not_implemented",
-    503: "capacity",
-    505: "http_version_unsupported",
-}
+from repro.server import core
+from repro.server.app import perform, resolve
 
 _LOGGER = logging.getLogger("repro.server")
 
 
-def split_api_version(path: str):
-    """Strip the ``/v1`` mount: ``(is_v1, effective_path)``.
-
-    Both tiers route on the effective path, so every legacy endpoint is
-    automatically mounted under ``/v1`` with byte-identical bodies.
-    """
-    if path == "/v1":
-        return True, "/"
-    if path.startswith("/v1/"):
-        return True, path[len("/v1"):]
-    return False, path
-
-
-def error_body(status: int, message: str, v1: bool, code=None, detail=None) -> bytes:
-    """One error response body, shaped per API version.
-
-    Legacy paths keep the historical ``{"error": message}`` bytes;
-    ``/v1`` paths get the structured envelope with a bounded ``code``
-    (:data:`ERROR_CODES`) and an always-present ``detail`` (``null``
-    unless the route attached one).
-    """
-    if not v1:
-        return canonical_json({"error": message})
-    return canonical_json(
-        {
-            "error": {
-                "code": code or ERROR_CODES.get(status, "error"),
-                "message": message,
-                "detail": detail,
-            }
-        }
-    )
-
-
-def endpoint_label(path: str) -> str:
-    """The bounded metrics label for an (effective) request path."""
-    if path in _KNOWN_ENDPOINTS:
-        return path
-    if path.startswith("/views/"):
-        return "/views"
-    if path.startswith("/changefeed/"):
-        return "/changefeed"
-    return "other"
-
-
-def _flag(query: dict, name: str) -> bool:
-    return query.get(name, ["0"])[-1] not in ("0", "false", "")
-
-
-def parse_json_body(raw: bytes):
-    """Decode a request body as JSON (:class:`ReproError` when it isn't).
-
-    Shared by the threaded handler and the async tier so malformed
-    bodies produce byte-identical 400s in both modes.
-    """
-    if not raw:
-        raise ReproError("request body must be a JSON document")
-    try:
-        return loads(raw)
-    except JSONDecodeError as error:
-        raise ReproError("invalid JSON body: {}".format(error))
-
-
 class ProvenanceRequestHandler(BaseHTTPRequestHandler):
-    """Routes one HTTP request into the shared :class:`ServerState`."""
+    """Carries one connection's requests into the shared request core."""
 
     server_version = "repro-prov"
     protocol_version = "HTTP/1.1"
 
-    # -- plumbing -------------------------------------------------------
     def setup(self) -> None:
         """Install the server's per-connection socket timeout.
 
@@ -169,241 +34,50 @@ class ProvenanceRequestHandler(BaseHTTPRequestHandler):
         socket — the request line of an idle keep-alive connection,
         half-sent headers, a promised body that never arrives — raises
         ``socket.timeout`` instead of pinning this worker thread
-        forever (the liveness bug the async tier's deadlines fix by
-        construction).
+        forever (the liveness bug the async transport's deadlines fix
+        by construction).
         """
         self.timeout = getattr(self.server, "request_timeout", None)
         super().setup()
 
     def log_message(self, format, *args):  # noqa: A002, D102
         # BaseHTTPRequestHandler's own per-request stderr lines would
-        # swamp tests and load runs; the structured INFO line emitted in
-        # _handle's finally block is the request log instead.
+        # swamp tests and load runs; the core's structured INFO line is
+        # the request log instead.
         _LOGGER.debug(format, *args)
 
-    def _send(
-        self, status: int, body: bytes, content_type: str = "application/json"
-    ) -> None:
-        self._status = status
-        # Observe BEFORE the body bytes go out: a client that reads the
-        # response and immediately scrapes /metrics must find this
-        # request already counted.
-        self._observe()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if not getattr(self, "_v1", True):
-            # The unversioned surface still answers byte-identically,
-            # but every response advertises its successor.
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", '</v1{}>; rel="successor-version"'.format(self._path)
-            )
-        self.end_headers()
-        self.wfile.write(body)
+    def __getattr__(self, name: str):
+        # The base class looks up ``do_<METHOD>`` and answers a verb it
+        # cannot find with its own HTML 501.  Every verb is served here,
+        # so the core's route table decides — and counts — that too.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
 
-    def _error(self, status: int, message: str, code=None, detail=None) -> None:
-        self._send(status, error_body(status, message, self._v1, code, detail))
+    def _perform(self, step):
+        if isinstance(step, core.Body):
+            try:
+                return self.rfile.read(step.length)
+            except socket.timeout:
+                raise core.BodyTimeout()
+        return perform(step)
 
-    def _read_body(self) -> bytes:
-        """Consume the request body (every request, every route).
-
-        Keep-alive discipline: HTTP/1.1 reuses the connection, so a
-        response sent while body bytes sit unread would leave the next
-        request parser chewing on this request's payload.  Routes that
-        reject a request (404/405, bad JSON) must therefore still have
-        drained the body — which is why this runs before routing.  An
-        oversized body is the one case not worth draining: the
-        connection is marked for close instead.
-        """
-        header = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            # The body length is unknowable, so the body is undrainable:
-            # never reuse this socket.
-            self.close_connection = True
-            raise ReproError(
-                "invalid Content-Length header {!r}".format(header)
-            )
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # do not reuse an undrained socket
-            raise ReproError(
-                "request body exceeds {} bytes".format(MAX_BODY_BYTES)
-            )
-        return self.rfile.read(length) if length > 0 else b""
-
-    _parse_json = staticmethod(parse_json_body)
-
-    # -- routing --------------------------------------------------------
-    def _observe(self) -> None:
-        """Fold this request into the metrics and the request log (once)."""
-        if self._observed:
-            return
-        self._observed = True
-        duration = perf_counter() - self._started
-        self.server.state.observe_request(
-            endpoint_label(self._route_path), self._method, self._status, duration
-        )
-        outcome = last_outcome()
-        _LOGGER.info(
-            "%s %s -> %d %.2fms%s",
-            self._method,
-            self._path,
-            self._status,
-            duration * 1e3,
-            " cache={}".format(outcome) if outcome else "",
-        )
-
-    def _handle(self, method: str, route) -> None:
-        """Time and account one request around its route function."""
+    def _serve(self) -> None:
         state = self.server.state
-        self._path = urlsplit(self.path).path
-        self._v1, self._route_path = split_api_version(self._path)
-        self._method = method
-        self._status = 500
-        self._observed = False
-        self._started = perf_counter()
-        reset_outcome()
+        request = core.Request(
+            self.command, self.path, self.headers.get("Content-Length")
+        )
         state.request_started()
         try:
-            try:
-                route(state, self._route_path)
-            except socket.timeout:
-                # The client stalled mid-request (e.g. a promised body
-                # never arrived).  The body is undrained, so the socket
-                # must not be reused; the 408 is best-effort — the
-                # client is still there, just slow to *send*.
-                self.close_connection = True
-                self._error(408, "timed out reading the request body")
-            except SubscriptionError as error:
-                self._error(error.status, str(error), code=error.code)
-            except ReproError as error:
-                self._error(400, str(error))
-            except Exception as error:  # pragma: no cover - defensive
-                self._error(500, "{}: {}".format(type(error).__name__, error))
+            response = resolve(core.handle(state, request), self._perform)
+            if response.close:
+                self.close_connection = True  # an undrained socket
+            self.send_response(response.status)
+            self.send_header("Content-Type", response.content_type)
+            self.send_header("Content-Length", str(len(response.body)))
+            for name, value in response.headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(response.body)
         finally:
-            # Nested so a raising _observe() (or an _error() above that
-            # died on a closed socket) can never leak the /stats
-            # in-flight counter permanently upward.
-            try:
-                self._observe()  # a route that never sent still counts
-            finally:
-                state.request_finished()
-
-    def do_POST(self) -> None:  # noqa: D102
-        self._handle("POST", self._route_post)
-
-    def do_GET(self) -> None:  # noqa: D102
-        self._handle("GET", self._route_get)
-
-    def do_DELETE(self) -> None:  # noqa: D102
-        self._handle("DELETE", self._route_delete)
-
-    @staticmethod
-    def _number_param(query: dict, name: str, cast):
-        values = query.get(name)
-        if not values:
-            return None
-        try:
-            return cast(values[-1])
-        except ValueError:
-            raise ReproError(
-                "query parameter {!r} must be a number, got {!r}".format(
-                    name, values[-1]
-                )
-            )
-
-    def _route_post(self, state, path: str) -> None:
-        raw = self._read_body()  # drained before ANY response
-        if path == "/query":
-            payload = self._parse_json(raw)
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("query"), str
-            ):
-                raise ReproError(
-                    "POST /query expects {\"query\": \"<rule text>\"}"
-                )
-            if _flag(parse_qs(urlsplit(self.path).query), "trace"):
-                self._send(200, state.run_query_traced(payload["query"]))
-            else:
-                self._send(200, state.run_query(payload["query"]))
-        elif path == "/batch":
-            payload = self._parse_json(raw)
-            texts = payload.get("queries") if isinstance(payload, dict) else None
-            if not isinstance(texts, list) or not all(
-                isinstance(text, str) for text in texts
-            ):
-                raise ReproError(
-                    "POST /batch expects {\"queries\": [\"<rule text>\", ...]}"
-                )
-            self._send(200, state.run_queries(texts))
-        elif path == "/update":
-            self._send(200, state.apply_update(self._parse_json(raw)))
-        elif path == "/subscribe" and self._v1:
-            self._send(200, state.subscribe(self._parse_json(raw)))
-        elif path.startswith("/changefeed/") and self._v1:
-            self._error(405, "{} only accepts GET or DELETE".format(path))
-        elif path in _GET_PATHS or path.startswith("/views/"):
-            self._error(405, "{} only accepts GET".format(path))
-        else:
-            self._error(404, "unknown path {}".format(path))
-
-    def _route_get(self, state, path: str) -> None:
-        self._read_body()  # a GET with a body must still drain it
-        query = parse_qs(urlsplit(self.path).query)
-        if path == "/stats":
-            self._send(200, canonical_json(state.stats()))
-        elif path == "/metrics":
-            if not state.metrics_enabled:
-                self._error(404, "metrics are disabled on this server")
-            else:
-                self._send(
-                    200,
-                    state.render_metrics().encode("utf-8"),
-                    content_type=EXPOSITION_CONTENT_TYPE,
-                )
-        elif path == "/trace":
-            texts = query.get("query")
-            if not texts:
-                raise ReproError(
-                    "GET /trace expects ?query=<url-encoded rule text>"
-                )
-            self._send(200, state.run_query_traced(texts[-1]))
-        elif path.startswith("/views/"):
-            name = unquote(path[len("/views/"):])
-            base = _flag(query, "base")
-            try:
-                self._send(200, state.read_view(name, base=base))
-            except ReproError as error:
-                self._error(404, str(error))
-        elif path.startswith("/changefeed/") and self._v1:
-            # The threaded tier's changefeed is a long-poll: the server
-            # parks this handler thread up to ?wait= seconds and then
-            # answers the events past ?cursor= (possibly none).
-            sub_id = unquote(path[len("/changefeed/"):])
-            cursor = self._number_param(query, "cursor", int)
-            wait = self._number_param(query, "wait", float)
-            self._send(
-                200, state.changefeed_poll(sub_id, cursor, wait or 0.0)
-            )
-        elif path == "/subscribe" and self._v1:
-            self._error(405, "{} only accepts POST".format(path))
-        elif path in _POST_PATHS:
-            self._error(405, "{} only accepts POST".format(path))
-        else:
-            self._error(404, "unknown path {}".format(path))
-
-    def _route_delete(self, state, path: str) -> None:
-        self._read_body()  # keep-alive discipline, as for GET
-        if path.startswith("/changefeed/") and self._v1:
-            self._send(200, state.unsubscribe(unquote(path[len("/changefeed/"):])))
-        elif (
-            path in _POST_PATHS
-            or path in _GET_PATHS
-            or (path == "/subscribe" and self._v1)
-            or path.startswith("/views/")
-        ):
-            self._error(405, "{} does not accept DELETE".format(path))
-        else:
-            self._error(404, "unknown path {}".format(path))
+            state.request_finished()

@@ -14,6 +14,7 @@ The load-bearing claims:
   worker pools (via ``weakref.finalize``, never ``__del__``).
 """
 
+import asyncio
 import gc
 import json
 import threading
@@ -24,6 +25,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.aggregate.evaluate import evaluate_aggregate
+from repro.config import EngineConfig
 from repro.db.generators import random_database
 from repro.db.instance import AnnotatedDatabase
 from repro.engine.evaluate import evaluate
@@ -113,6 +115,76 @@ def expected_query_body(text, db, version):
 # ----------------------------------------------------------------------
 # The cache itself
 # ----------------------------------------------------------------------
+def fly(cache, kind, compute, callers, key="k"):
+    """Run ``callers`` concurrent lookups of one key; their outcomes.
+
+    ``kind`` is how the callers wait.  ``"thread"``: each is a thread
+    inside ``get_or_compute``, blocking on the flight — the threaded
+    transport.  ``"coroutine"``: each is a task on one event loop doing
+    what the asyncio transport does — ``lookup`` on the loop, ``lead``
+    on an executor thread, waiters awaiting the flight's future.
+    ``compute`` is held back until every non-leader has joined the
+    flight, so all of them are deduplicated waiters.  An outcome is the
+    value a caller got or the exception it raised.
+    """
+    release = threading.Event()
+
+    def gated():
+        release.wait(10)
+        return compute()
+
+    def release_when_joined():
+        deadline = time.time() + 10
+        while time.time() < deadline:
+            if cache.stats()["single_flight_waiters"] >= callers - 1:
+                break
+            time.sleep(0.005)
+        release.set()
+
+    releaser = threading.Thread(target=release_when_joined)
+    releaser.start()
+    outcomes = []
+    if kind == "thread":
+
+        def caller():
+            try:
+                outcomes.append(cache.get_or_compute(key, gated))
+            except Exception as error:
+                outcomes.append(error)
+
+        threads = [threading.Thread(target=caller) for _ in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(15)
+            assert not thread.is_alive()
+    else:
+
+        async def caller():
+            outcome, found = cache.lookup(key)
+            if outcome == "hit":
+                return found
+            if outcome == "wait":
+                return await asyncio.wrap_future(found.future)
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, cache.lead, found, gated)
+
+        async def scenario():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    *[caller() for _ in range(callers)], return_exceptions=True
+                ),
+                15,
+            )
+
+        outcomes = asyncio.run(scenario())
+    releaser.join(15)
+    return outcomes
+
+
+WAITER_KINDS = ["thread", "coroutine"]
+
+
 class TestResultCache:
     def test_get_or_compute_caches(self):
         cache = ResultCache()
@@ -173,35 +245,23 @@ class TestResultCache:
         with ServerState(small_db()) as state:
             assert "hashjoin" in repr(state) and "session" in repr(state)
 
-    def test_single_flight_computes_once(self):
+    @pytest.mark.parametrize("kind", WAITER_KINDS)
+    def test_single_flight_computes_once(self, kind):
         cache = ResultCache()
         calls = []
-        started = threading.Event()
-        release = threading.Event()
 
         def compute():
             calls.append(1)
-            started.set()
-            release.wait(10)
             return "value", True
 
-        results = []
-
-        def worker():
-            results.append(cache.get_or_compute("k", compute))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        assert started.wait(10)
-        release.set()
-        for thread in threads:
-            thread.join(10)
+        results = fly(cache, kind, compute, callers=8)
         assert len(calls) == 1  # the engine ran once for 8 callers
         assert results == ["value"] * 8
         stats = cache.stats()
-        assert stats["dedup_hits"] + stats["hits"] == 7
         assert stats["misses"] == 1
+        assert stats["dedup_hits"] == 7
+        assert stats["single_flight_waiters"] == 7
+        assert stats["inflight"] == 0
 
     def test_store_crash_still_wakes_waiters(self):
         """Satellite fix: a leader that dies *after* computing (here the
@@ -256,35 +316,104 @@ class TestResultCache:
         assert cache.get("k") is None
         assert cache.get_or_compute("k", lambda: ("ok", True)) == "ok"
 
-    def test_leader_failure_propagates_and_caches_nothing(self):
+    @pytest.mark.parametrize("kind", WAITER_KINDS)
+    def test_leader_failure_propagates_and_caches_nothing(self, kind):
+        cache = ResultCache()
+
+        def compute():
+            raise RuntimeError("engine exploded")
+
+        outcomes = fly(cache, kind, compute, callers=4)
+        assert [str(error) for error in outcomes] == ["engine exploded"] * 4
+        assert all(isinstance(error, RuntimeError) for error in outcomes)
+        assert cache.get("k") is None
+        assert cache.stats()["dedup_hits"] == 0
+        # The key is not poisoned: the next computation succeeds.
+        assert cache.get_or_compute("k", lambda: ("ok", True)) == "ok"
+
+    def test_waiter_cancellation_does_not_kill_the_flight(self):
+        """``asyncio.wrap_future`` forwards an awaiting task's cancel to
+        the future it wraps; a flight's future refuses it, so one
+        impatient client takes nobody else's answer away."""
+        cache = ResultCache()
+        release = threading.Event()
+
+        def compute():
+            release.wait(10)
+            return "value", True
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            outcome, flight = cache.lookup("k")
+            assert outcome == "miss"
+            leader = loop.run_in_executor(None, cache.lead, flight, compute)
+            assert cache.lookup("k") == ("wait", flight)
+            impatient = asyncio.ensure_future(asyncio.wrap_future(flight.future))
+            assert cache.lookup("k") == ("wait", flight)
+            patient = asyncio.ensure_future(asyncio.wrap_future(flight.future))
+            await asyncio.sleep(0)
+            impatient.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await impatient
+            assert not flight.future.cancelled()
+            release.set()
+            return await asyncio.wait_for(asyncio.gather(leader, patient), 10)
+
+        assert asyncio.run(scenario()) == ["value", "value"]
+        assert cache.get("k") == "value"
+
+    def test_cancelled_leader_still_publishes_to_its_waiters(self):
+        """Publication belongs to the thread running the computation:
+        the coroutine that asked for it may be cancelled (its connection
+        was shut down) and the flight still lands, cached."""
         cache = ResultCache()
         started = threading.Event()
         release = threading.Event()
-        outcomes = []
 
         def compute():
             started.set()
             release.wait(10)
-            raise RuntimeError("engine exploded")
+            return "value", True
 
-        def worker():
-            try:
-                cache.get_or_compute("k", compute)
-            except RuntimeError as error:
-                outcomes.append(str(error))
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            _outcome, flight = cache.lookup("k")
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        threads[0].start()
-        assert started.wait(10)
-        for thread in threads[1:]:
-            thread.start()
-        release.set()
-        for thread in threads:
-            thread.join(10)
-        assert outcomes == ["engine exploded"] * 4
-        assert cache.get("k") is None
-        # The key is not poisoned: the next computation succeeds.
-        assert cache.get_or_compute("k", lambda: ("ok", True)) == "ok"
+            async def lead():
+                return await loop.run_in_executor(
+                    None, cache.lead, flight, compute
+                )
+
+            leader = asyncio.ensure_future(lead())
+            assert cache.lookup("k") == ("wait", flight)
+            waiter = asyncio.ensure_future(asyncio.wrap_future(flight.future))
+            await loop.run_in_executor(None, started.wait, 10)
+            leader.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            release.set()
+            return await asyncio.wait_for(waiter, 10)
+
+        assert asyncio.run(scenario()) == "value"
+        assert cache.get("k") == "value"
+        assert cache.stats()["inflight"] == 0
+
+    def test_fail_reaches_waiters_once_and_only_before_publication(self):
+        """A leader whose call was refused before it ran tells its
+        flight with ``fail``; after ``lead`` has published, ``fail`` is
+        a no-op."""
+        cache = ResultCache()
+        _outcome, flight = cache.lookup("k")
+        assert cache.lookup("k") == ("wait", flight)
+        cache.fail(flight, RuntimeError("shed"))
+        with pytest.raises(RuntimeError, match="shed"):
+            flight.future.result(1)
+        assert cache.stats()["inflight"] == 0
+        _outcome, flight = cache.lookup("k")
+        assert cache.lead(flight, lambda: ("value", True)) == "value"
+        cache.fail(flight, RuntimeError("too late"))
+        assert flight.future.result(1) == "value"
+        assert cache.get("k") == "value"
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +516,7 @@ class TestProtocol:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(EvaluationError):
-            ServerState(small_db(), engine="warp")
+            ServerState(small_db(), config="warp")
 
     def test_invalid_content_length_is_400_and_closes(self, served):
         """An unparseable Content-Length means the body cannot be
@@ -799,10 +928,9 @@ class TestDifferential:
         db = random_database(
             {"R": 2, "S": 2}, list(range(8)), n_facts=60, seed=7
         )
-        with serve(db, engine="sharded", shards=2, workers=2) as (
-            server,
-            client,
-        ):
+        with serve(
+            db, config=EngineConfig(engine="sharded", shards=2, workers=2)
+        ) as (server, client):
             version = server.state.session.db_version()
             for text in self.TEXTS:
                 status, body = client.post("/query", {"query": text})
@@ -824,7 +952,7 @@ class TestLeakedSessions:
     def test_leaked_session_releases_its_pool(self, mode):
         db = small_db()
         session = QuerySession(
-            db, engine="sharded", shards=2, workers=2, mode=mode
+            db, EngineConfig(engine="sharded", shards=2, workers=2, mode=mode)
         )
         session.evaluate(parse_query("ans(x, z) :- R(x, y), R(y, z)"))
         executor = session.executor
@@ -838,7 +966,8 @@ class TestLeakedSessions:
     def test_explicit_close_disarms_the_finalizer(self):
         db = small_db()
         with QuerySession(
-            db, engine="sharded", shards=2, workers=2, mode="thread"
+            db,
+            EngineConfig(engine="sharded", shards=2, workers=2, mode="thread"),
         ) as session:
             session.evaluate(parse_query("ans(x) :- R(x, y)"))
             finalizer = session.executor._finalizer
@@ -998,7 +1127,7 @@ class TestTracedQueries:
             {"R": 2, "S": 2}, list(range(12)), n_facts=120, seed=5
         )
         with serve(
-            db, engine="sharded", shards=2, workers=2
+            db, config=EngineConfig(engine="sharded", shards=2, workers=2)
         ) as (server, client):
             status, envelope = client.json(
                 "POST", "/query?trace=1", {"query": JOIN}

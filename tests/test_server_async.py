@@ -1,12 +1,12 @@
-"""The asyncio serving tier's own contract, beyond byte-identity.
+"""The asyncio transport's own contract, beyond byte-identity.
 
 ``tests/test_server.py`` already runs the protocol suite and the
-30-seed differential against both tiers; this module pins what only
-the async tier promises:
+30-seed differential against both transports (and the result cache
+with coroutine waiters); this module pins what only the async
+transport promises:
 
-* **loop-confined single-flight** — N concurrent identical misses park
-  on one :class:`asyncio.Future` while a single leader computes, with
-  leader failures propagated and leader cancellation handed over;
+* **single-flight on the loop** — N concurrent identical misses await
+  one flight while a single leader computes off-loop;
 * **backpressure** — past ``max_pending`` admitted engine-bound
   requests, new ones are shed with an immediate 503 + ``Retry-After``
   on a still-alive connection (``/stats``/``/metrics`` stay exempt);
@@ -19,7 +19,6 @@ the async tier promises:
   serving modes.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -32,7 +31,6 @@ from repro.db.generators import random_database
 from repro.errors import EvaluationError
 from repro.server.aio import AsyncProvenanceServer
 from repro.server.app import ProvenanceServer, make_server
-from repro.server.cache import AsyncResultCache, ResultCache
 
 from test_server import (
     JOIN,
@@ -82,141 +80,6 @@ class TestFacade:
     def test_repr_names_the_address(self):
         with make_server(small_db(), server_mode="async") as server:
             assert "AsyncProvenanceServer" in repr(server)
-
-
-# ----------------------------------------------------------------------
-# AsyncResultCache: single-flight on the loop
-# ----------------------------------------------------------------------
-class TestAsyncResultCache:
-    def test_single_flight_computes_once(self):
-        async def scenario():
-            cache = AsyncResultCache()
-            calls = []
-            release = asyncio.Event()
-
-            async def compute():
-                calls.append(1)
-                await release.wait()
-                return "value", True
-
-            tasks = [
-                asyncio.ensure_future(cache.get_or_compute("k", compute))
-                for _ in range(8)
-            ]
-            await asyncio.sleep(0)  # every caller reaches the ledger
-            release.set()
-            results = await asyncio.gather(*tasks)
-            return calls, results, cache.stats()
-
-        calls, results, stats = asyncio.run(scenario())
-        assert len(calls) == 1  # the engine ran once for 8 callers
-        assert results == ["value"] * 8
-        assert stats["misses"] == 1
-        assert stats["dedup_hits"] == 7
-        assert stats["single_flight_waiters"] == 7
-
-    def test_leader_failure_propagates_and_caches_nothing(self):
-        async def scenario():
-            cache = AsyncResultCache()
-            release = asyncio.Event()
-
-            async def compute():
-                await release.wait()
-                raise RuntimeError("engine exploded")
-
-            tasks = [
-                asyncio.ensure_future(cache.get_or_compute("k", compute))
-                for _ in range(4)
-            ]
-            await asyncio.sleep(0)
-            release.set()
-            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-
-            async def recover():
-                return "ok", True
-
-            recovered = await cache.get_or_compute("k", recover)
-            return outcomes, cache.get("k"), recovered
-
-        outcomes, cached_after_failure, recovered = asyncio.run(scenario())
-        assert [str(error) for error in outcomes] == ["engine exploded"] * 4
-        assert all(isinstance(error, RuntimeError) for error in outcomes)
-        assert recovered == "ok"  # the key was never poisoned
-
-    def test_uncacheable_results_are_returned_but_not_stored(self):
-        async def scenario():
-            cache = AsyncResultCache()
-
-            async def compute():
-                return "fresh", False
-
-            value = await cache.get_or_compute("k", compute)
-            return value, cache.get("k"), len(cache)
-
-        value, cached, size = asyncio.run(scenario())
-        assert value == "fresh"
-        assert cached is None and size == 0
-
-    def test_cancelled_leader_hands_over_to_a_waiter(self):
-        async def scenario():
-            cache = AsyncResultCache()
-            release = asyncio.Event()
-
-            async def slow():
-                await release.wait()
-                return "slow", True
-
-            async def quick():
-                return "quick", True
-
-            leader = asyncio.ensure_future(cache.get_or_compute("k", slow))
-            await asyncio.sleep(0)
-            waiter = asyncio.ensure_future(cache.get_or_compute("k", quick))
-            await asyncio.sleep(0)
-            leader.cancel()  # the leader's client hung up mid-flight
-            value = await waiter
-            return value, cache.get("k")
-
-        value, cached = asyncio.run(scenario())
-        assert value == "quick"  # the waiter recomputed, not failed
-        assert cached == "quick"
-
-    def test_waiter_cancellation_does_not_kill_the_flight(self):
-        async def scenario():
-            cache = AsyncResultCache()
-            release = asyncio.Event()
-
-            async def compute():
-                await release.wait()
-                return "value", True
-
-            leader = asyncio.ensure_future(cache.get_or_compute("k", compute))
-            await asyncio.sleep(0)
-            waiter = asyncio.ensure_future(cache.get_or_compute("k", compute))
-            await asyncio.sleep(0)
-            waiter.cancel()  # one impatient client; the leader survives
-            release.set()
-            with pytest.raises(asyncio.CancelledError):
-                await waiter
-            return await leader
-
-        assert asyncio.run(scenario()) == "value"
-
-    def test_stats_shape_matches_the_threaded_cache(self):
-        assert set(AsyncResultCache().stats()) == set(ResultCache().stats())
-
-    def test_lru_eviction_and_capacity(self):
-        cache = AsyncResultCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # bump a; b is now LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.stats()["evictions"] == 1
-        assert cache.capacity == 2
-        with pytest.raises(ValueError):
-            AsyncResultCache(capacity=0)
-        assert "AsyncResultCache" in repr(cache)
 
 
 # ----------------------------------------------------------------------
