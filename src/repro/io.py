@@ -21,7 +21,8 @@ Round-trips are exact and tested.
 from __future__ import annotations
 
 import json
-from typing import Dict, Hashable, List, Mapping, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.aggregate.result import AggregateResult
 from repro.algebra.monoid import monoid_for
@@ -169,12 +170,19 @@ def query_from_text(text: str) -> Query:
     return parse_query(text)
 
 
+def result_rows(results: Mapping[Row, Polynomial]) -> Iterator[dict]:
+    """The rows of :func:`results_to_list`, one at a time.
+
+    For encoders that serialize row by row, so a large table's JSON-ready
+    form never exists all at once.
+    """
+    for output, polynomial in sorted(results.items(), key=lambda kv: repr(kv[0])):
+        yield {"tuple": list(output), "provenance": polynomial_to_list(polynomial)}
+
+
 def results_to_list(results: Mapping[Row, Polynomial]) -> list:
     """A JSON-ready representation of an annotated result table."""
-    return [
-        {"tuple": list(output), "provenance": polynomial_to_list(polynomial)}
-        for output, polynomial in sorted(results.items(), key=lambda kv: repr(kv[0]))
-    ]
+    return list(result_rows(results))
 
 
 def results_from_list(payload) -> Dict[Row, Polynomial]:
@@ -252,18 +260,21 @@ def semimodule_from_dict(payload: Mapping) -> SemimoduleElement:
     return SemimoduleElement(monoid, terms)
 
 
-def aggregate_results_to_list(results: Mapping[Row, AggregateResult]) -> list:
-    """A JSON-ready representation of an aggregated K-relation."""
-    return [
-        {
+def aggregate_result_rows(results: Mapping[Row, AggregateResult]) -> Iterator[dict]:
+    """The rows of :func:`aggregate_results_to_list`, one at a time."""
+    for group, result in sorted(results.items(), key=lambda kv: repr(kv[0])):
+        yield {
             "group": list(group),
             "provenance": polynomial_to_list(result.provenance),
             "aggregates": [
                 semimodule_to_dict(element) for element in result.aggregates
             ],
         }
-        for group, result in sorted(results.items(), key=lambda kv: repr(kv[0]))
-    ]
+
+
+def aggregate_results_to_list(results: Mapping[Row, AggregateResult]) -> list:
+    """A JSON-ready representation of an aggregated K-relation."""
+    return list(aggregate_result_rows(results))
 
 
 def aggregate_results_from_list(payload) -> Dict[Row, AggregateResult]:
@@ -294,6 +305,64 @@ def aggregate_results_from_list(payload) -> Dict[Row, AggregateResult]:
             ),
         )
     return results
+
+
+# ----------------------------------------------------------------------
+# Canonical response bodies (the serving tier's wire format)
+# ----------------------------------------------------------------------
+def canonical_json(payload) -> bytes:
+    """Serialize a response payload to canonical JSON bytes.
+
+    Sorted keys and fixed separators make encoding deterministic, which
+    is what lets the differential suite compare served bodies against
+    in-process evaluation byte for byte.  The trailing newline is for
+    humans running ``curl``.
+    """
+    return (_dumps(payload) + "\n").encode("utf-8")
+
+
+#: One shared encoder: ``json.dumps`` with options builds a new one per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Rows encoded per encoder call by :func:`encode_table`: enough to
+#: amortize the call (it costs as much as a small row), few enough that
+#: their JSON-ready form stays small whatever the table's size.
+_ROWS_PER_CALL = 256
+
+
+def encode_results(results: Mapping, aggregate: Optional[bool] = None) -> dict:
+    """The response fragment for one query's result table.
+
+    Plain UCQ≠ tables serialize their polynomials, aggregate tables
+    their ``N[X] ⊗ M`` tensors; pass ``aggregate`` explicitly when the
+    table may be empty (an empty dict carries no type of its own).
+    """
+    if aggregate is None:
+        aggregate = any(
+            isinstance(value, AggregateResult) for value in results.values()
+        )
+    if aggregate:
+        return {"kind": "aggregate", "results": aggregate_results_to_list(results)}
+    return {"kind": "polynomial", "results": results_to_list(results)}
+
+
+def encode_table(results: Mapping, aggregate: bool, **tail) -> bytes:
+    """``canonical_json({**encode_results(results, aggregate), **tail})``,
+    a few rows at a time: the JSON-ready form of a big table (several
+    times its encoding) is never built, let alone kept.
+
+    Byte-identical as long as every ``tail`` key sorts after
+    ``"results"`` (``version`` and ``view`` do).
+    """
+    kind, rows = "polynomial", result_rows(results)
+    if aggregate:
+        kind, rows = "aggregate", aggregate_result_rows(results)
+    encoded = []
+    while chunk := list(islice(rows, _ROWS_PER_CALL)):
+        encoded.append(_dumps(chunk)[1:-1])  # the list's items, less its brackets
+    return '{{"kind":"{}","results":[{}],{}\n'.format(
+        kind, ",".join(encoded), _dumps(tail)[1:]
+    ).encode("utf-8")
 
 
 # ----------------------------------------------------------------------

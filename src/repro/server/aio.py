@@ -45,7 +45,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from email.utils import formatdate
 from functools import partial
-from http.client import responses
 from typing import Dict, Optional, Tuple
 
 from repro.server import core
@@ -93,11 +92,12 @@ _EXECUTOR_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
 
 class _ConnFlags:
-    """Per-connection drain bookkeeping: is a request mid-flight?"""
+    """One open connection: its socket, and is a request mid-flight?"""
 
-    __slots__ = ("busy",)
+    __slots__ = ("sock", "busy")
 
-    def __init__(self):  # noqa: D107
+    def __init__(self, sock):  # noqa: D107
+        self.sock = sock
         self.busy = False
 
 
@@ -273,7 +273,11 @@ class AsyncProvenanceServer:
             writer.close()
             return
         task = asyncio.current_task()
-        flags = _ConnFlags()
+        flags = _ConnFlags(writer.get_extra_info("socket"))
+        # Set here, on every accepted socket: asyncio's own _set_nodelay
+        # only fires when sock.proto == IPPROTO_TCP, and the listener
+        # socket.create_server() makes (and all it accepts) has proto 0.
+        flags.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._connections[task] = flags
         self._conn_gauge.set(len(self._connections))
         try:
@@ -435,41 +439,30 @@ class AsyncProvenanceServer:
     async def _write_response(
         self, writer, response: core.Response, version_11: bool, close: bool
     ) -> bool:
-        status, body = response.status, response.body
+        body = response.body
         chunked = version_11 and len(body) >= self._stream_threshold
-        head = [
-            "HTTP/1.1 {} {}".format(status, responses.get(status, "Unknown")),
-            "Server: repro-prov",
-            "Date: {}".format(formatdate(usegmt=True)),
-            "Content-Type: {}".format(response.content_type),
-        ]
-        if chunked:
-            head.append("Transfer-Encoding: chunked")
-        else:
-            head.append("Content-Length: {}".format(len(body)))
-        for name, value in response.headers.items():
-            head.append("{}: {}".format(name, value))
-        if close:
-            head.append("Connection: close")
+        head = core.render_head(response, "repro-prov", chunked, close)
         try:
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
             if chunked:
                 # Stream large polynomials in slices with a drain()
                 # between them: one slow reader backpressures its own
                 # connection (never the loop or the heap), bounded by
-                # the widened write window (see _STREAM_WINDOW).
+                # the widened write window (see _STREAM_WINDOW).  Each
+                # frame is joined from a view of the body, so the body
+                # is copied once on its way out; the head rides in the
+                # first frame.
                 writer.transport.set_write_buffer_limits(high=_STREAM_WINDOW)
+                view = memoryview(body)
                 for offset in range(0, len(body), _CHUNK):
-                    chunk = body[offset:offset + _CHUNK]
-                    writer.write(
-                        b"%x\r\n" % len(chunk) + chunk + b"\r\n"
-                    )
+                    chunk = view[offset:offset + _CHUNK]
+                    writer.writelines((head, b"%x\r\n" % len(chunk), chunk, b"\r\n"))
+                    head = b""
                     await asyncio.wait_for(
                         writer.drain(), self._request_timeout
                     )
-                writer.write(b"0\r\n\r\n")
+                writer.write(head + b"0\r\n\r\n")
             else:
-                writer.write(body)
+                writer.write(head + body)
             await asyncio.wait_for(writer.drain(), self._request_timeout)
             return True
         except (ConnectionError, asyncio.TimeoutError):

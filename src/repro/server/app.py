@@ -14,26 +14,29 @@ Concurrency model — one lock, three rules:
 * every update holds the same lock around the database mutation, so no
   evaluation observes a half-applied batch;
 * cache keys carry the database version, so an update invalidates by
-  *moving the version on*, never by touching the cache.  A computation
-  that raced an update (its result version differs from the keyed
-  version) is returned fresh and simply not cached.
+  *moving the version on*; the cache then drops what the dead versions
+  stored.  A computation that raced an update (its result version
+  differs from the keyed version) is returned fresh and not cached.
 
 Responses are canonical JSON (sorted keys, fixed separators) built from
 the :mod:`repro.io` codecs — the differential tests assert that a
 served body is byte-identical to encoding an in-process
-``evaluate``/``evaluate_aggregate`` result the same way.
+``evaluate``/``evaluate_aggregate`` result the same way.  A computed
+result is kept as those bytes and nothing else: with sorted keys and
+fixed separators the encoding of a document is its parts' encodings
+spliced together, so a result table is encoded row by row
+(:func:`encode_table`) and ``/batch`` and ``?trace=1`` wrap finished
+bodies without decoding them.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from concurrent.futures import Future
 from functools import partial
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.aggregate.result import AggregateResult
 from repro.algebra.intern import InternRemapper
 from repro.config import EngineConfig, resolve_engine_config
 from repro.durability.store import DurableStore, RecoveredState
@@ -41,10 +44,12 @@ from repro.errors import EvaluationError, ReproError
 from repro.incremental.delta import Delta, apply_to_database
 from repro.incremental.registry import ViewRegistry
 from repro.io import (
-    aggregate_results_to_list,
+    canonical_json,
+    changefeed_event_to_dict,
     delta_to_dict,
     deltas_from_payload,
-    results_to_list,
+    encode_results,
+    encode_table,
 )
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -56,6 +61,13 @@ from repro.query.aggregate import AggregateQuery, AnyQuery
 from repro.query.parser import parse_query
 from repro.query.printer import query_to_str
 from repro.server.cache import ResultCache
+from repro.server.subscriptions import (
+    DEFAULT_MAX_SUBSCRIPTIONS,
+    DEFAULT_RING_SIZE,
+    ChangefeedEvent,
+    SubscriptionHub,
+    UnknownViewError,
+)
 from repro.session import QuerySession
 
 #: Engines the server can front (the session engines, by construction).
@@ -66,49 +78,6 @@ DEFAULT_CACHE_SIZE = 256
 
 #: Longest server-side long-poll wait the threaded changefeed honors.
 MAX_POLL_WAIT = 30.0
-
-
-def canonical_json(payload) -> bytes:
-    """Serialize a response payload to canonical JSON bytes.
-
-    Sorted keys and fixed separators make encoding deterministic, which
-    is what lets the differential suite compare served bodies against
-    in-process evaluation byte for byte.  The trailing newline is for
-    humans running ``curl``.
-    """
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def encode_results(results: Mapping, aggregate: Optional[bool] = None) -> dict:
-    """The response fragment for one query's result table.
-
-    Plain UCQ≠ tables serialize their polynomials, aggregate tables
-    their ``N[X] ⊗ M`` tensors; pass ``aggregate`` explicitly when the
-    table may be empty (an empty dict carries no type of its own).
-    """
-    if aggregate is None:
-        aggregate = any(
-            isinstance(value, AggregateResult) for value in results.values()
-        )
-    if aggregate:
-        return {"kind": "aggregate", "results": aggregate_results_to_list(results)}
-    return {"kind": "polynomial", "results": results_to_list(results)}
-
-
-class _CachedResult:
-    """One cached response: the payload dict plus its encoded body.
-
-    ``/query`` serves the bytes straight off the hit path; ``/batch``
-    embeds the payload dicts in its envelope without re-parsing.
-    """
-
-    __slots__ = ("payload", "body")
-
-    def __init__(self, payload: dict, body: bytes):  # noqa: D107
-        self.payload = payload
-        self.body = body
 
 
 def perform(step):
@@ -252,14 +221,6 @@ class ServerState:
         self._hub = None
         self._view_serial = 0
         if self._registry is not None:
-            # Imported lazily: the subscriptions module imports this
-            # one for the canonical JSON codec.
-            from repro.server.subscriptions import (
-                DEFAULT_MAX_SUBSCRIPTIONS,
-                DEFAULT_RING_SIZE,
-                SubscriptionHub,
-            )
-
             self._hub = SubscriptionHub(
                 max_subscriptions=(
                     DEFAULT_MAX_SUBSCRIPTIONS
@@ -396,13 +357,6 @@ class ServerState:
     def _key(self, canonical: str, version: int):
         return (canonical, version, self._config)
 
-    def _entry(self, query: AnyQuery, results, version: int) -> _CachedResult:
-        payload = {
-            "version": version,
-            **encode_results(results, isinstance(query, AggregateQuery)),
-        }
-        return _CachedResult(payload, canonical_json(payload))
-
     def prepare_query(self, text: str) -> Tuple[AnyQuery, str]:
         """Parse one query text into ``(query, canonical text)``."""
         with current_tracer().span("parse"):
@@ -411,34 +365,34 @@ class ServerState:
 
     def compute_query_entry(
         self, query: AnyQuery, version: int
-    ) -> Tuple[_CachedResult, bool]:
-        """Run one query through the engine: ``(entry, cacheable)``.
+    ) -> Tuple[bytes, bool]:
+        """Run one query through the engine: ``(body, cacheable)``.
 
         ``cacheable`` is the version-race check: a computation that ran
         at a later version than the one it was keyed under is returned
         fresh but must not be cached.  This is the blocking half of the
         single-flight miss path (run under :meth:`ResultCache.lead`).
         """
-        results, actual = self._session_run([query])
-        return self._entry(query, results[0], actual), actual == version
+        bodies, cacheable = self.compute_batch_entries([query], version)
+        return bodies[0], cacheable
 
     def compute_batch_entries(
         self, queries: Sequence[AnyQuery], version: int
-    ) -> Tuple[List[_CachedResult], bool]:
+    ) -> Tuple[List[bytes], bool]:
         """Run a batch's cache misses through **one** engine batch.
 
-        Returns the entries aligned with ``queries`` plus the shared
+        Returns the bodies aligned with ``queries`` plus the shared
         version-race verdict (one session run, one actual version).
         """
         results, actual = self._session_run(list(queries))
-        entries = [
-            self._entry(query, result, actual)
+        bodies = [
+            encode_table(result, isinstance(query, AggregateQuery), version=actual)
             for query, result in zip(queries, results)
         ]
-        return entries, actual == version
+        return bodies, actual == version
 
     def query_steps(self, text: str):
-        """Serve one query text, as steps: returns its :class:`_CachedResult`.
+        """Serve one query text, as steps: returns the ``/query`` body.
 
         Cached under ``(canonical text, version, engine options)`` with
         single-flight deduplication — N concurrent identical requests
@@ -449,7 +403,7 @@ class ServerState:
         """
         query, canonical = self.prepare_query(text)
         version = self._session.db_version()
-        outcome, found = self._cache.lookup(self._key(canonical, version))
+        outcome, found = self._cache.lookup(self._key(canonical, version), version)
         if outcome == "hit":
             return found
         if outcome == "wait":
@@ -470,16 +424,18 @@ class ServerState:
         The cached prefix is collected first; the misses — deduplicated
         within the batch — run through **one** session batch, sharing
         plans, shard runs and interned provenance.  Each entry of the
-        response carries the version it was computed at.
+        response carries the version it was computed at.  The body is
+        spliced from the per-query bodies (each less its newline), which
+        is what encoding the list of their payloads would produce.
         """
         prepared = [self.prepare_query(text) for text in texts]
         version = self._session.db_version()
-        entries: Dict[str, _CachedResult] = {}
+        entries: Dict[str, bytes] = {}
         missing: Dict[str, AnyQuery] = {}
         for query, canonical in prepared:
             if canonical in entries or canonical in missing:
                 continue
-            cached = self._cache.get(self._key(canonical, version))
+            cached = self._cache.get(self._key(canonical, version), version)
             if cached is not None:
                 entries[canonical] = cached
             else:
@@ -491,18 +447,14 @@ class ServerState:
             for canonical, entry in zip(missing, computed):
                 entries[canonical] = entry
                 if cacheable:
-                    self._cache.put(self._key(canonical, version), entry)
-        return canonical_json(
-            {
-                "results": [
-                    entries[canonical].payload for _query, canonical in prepared
-                ]
-            }
+                    self._cache.put(self._key(canonical, version), entry, version)
+        return b'{"results":[%s]}\n' % b",".join(
+            entries[canonical][:-1] for _query, canonical in prepared
         )
 
     def run_query(self, text: str) -> bytes:
         """Serve one query text: the ``POST /query`` body bytes."""
-        return resolve(self.query_steps(text)).body
+        return resolve(self.query_steps(text))
 
     def run_queries(self, texts: Sequence[str]) -> bytes:
         """Serve a query batch: the ``POST /batch`` body bytes."""
@@ -515,8 +467,8 @@ class ServerState:
         Registry mode maintains every materialized view incrementally;
         bare mode applies the changes to the database directly.  Either
         way the version moves, so every cached result keyed on the old
-        version is dead without a scan, and the session refreshes
-        automatically on its next evaluation.
+        version is dead and dropped without a scan, and the session
+        refreshes automatically on its next evaluation.
 
         Every batch is validated against a *simulated* presence state
         before anything is applied, so deletes/retags of absent tuples
@@ -560,6 +512,7 @@ class ServerState:
                     self._registry,
                     self._session.intern_table.export_state(),
                 )
+        self._cache.advance(version)
         response = {
             "version": version,
             "batches": len(deltas),
@@ -624,14 +577,9 @@ class ServerState:
         with self._session.lock:
             results = self._registry.read_view(name, base=base)
             version = self._registry.db_version()
-        payload = {
-            "version": version,
-            "view": name,
-            **encode_results(
-                results, name in self._registry.aggregate_names
-            ),
-        }
-        return canonical_json(payload)
+        return encode_table(
+            results, name in self._registry.aggregate_names, version=version, view=name
+        )
 
     # ------------------------------------------------------------------
     # Continuous queries (POST /v1/subscribe, GET /v1/changefeed/<id>)
@@ -663,8 +611,6 @@ class ServerState:
         with cursors past the returned one apply cleanly on top of the
         snapshot, with nothing lost in between.
         """
-        from repro.server.subscriptions import UnknownViewError
-
         hub = self._require_hub()
         if not isinstance(payload, dict):
             raise ReproError(
@@ -728,9 +674,6 @@ class ServerState:
         table was copied at, so deltas with later cursors (already in
         the ring or yet to come) apply cleanly on top.
         """
-        from repro.io import changefeed_event_to_dict
-        from repro.server.subscriptions import ChangefeedEvent
-
         with self._session.lock:
             state = self._registry.read_view(subscription.view)
             version = self._registry.db_version()

@@ -6,8 +6,10 @@ database version *in the key* instead of maintaining the entries:
 
 * **invalidation is free** — an update bumps the version, so every
   stale entry simply stops being addressable; no scan, no per-entry
-  bookkeeping.  The LRU bound reclaims the dead entries as fresh
-  traffic pushes them out;
+  bookkeeping.  Nothing keyed on an older version can ever be asked
+  for again, so the first caller to name a newer version (the update
+  itself, on a server) drops them all — counted as ``invalidated``,
+  never as ``evictions``, which stay the LRU bound's alone;
 * **hits are exact** — a cached body is byte-identical to what the
   engine would produce at that version, because it *is* what the
   engine produced at that version.
@@ -21,7 +23,12 @@ waiter and nothing is cached.
 Computations return ``(value, cacheable)`` so a caller that discovers
 mid-flight that the database moved on (the version it keyed on is no
 longer current) can hand the fresh value to all waiters *without*
-poisoning the cache under the stale key.
+poisoning the cache under the stale key.  The cache refuses such a
+value on its own account too: a flight opened at a version that has
+since died answers its waiters and stores nothing.
+
+The key stays opaque; callers pass the version it carries alongside
+(callers that have no versions all live at version 0).
 """
 
 from __future__ import annotations
@@ -74,10 +81,11 @@ class Flight:
     cancel the flight under everyone else.
     """
 
-    __slots__ = ("key", "future", "waiters")
+    __slots__ = ("key", "version", "future", "waiters")
 
-    def __init__(self, key: Hashable):  # noqa: D107
+    def __init__(self, key: Hashable, version: int):  # noqa: D107
         self.key = key
+        self.version = version
         self.future: Future = Future()
         self.future.set_running_or_notify_cancel()
         self.waiters = 0
@@ -107,11 +115,26 @@ class ResultCache:
         self._dedup_hits = 0
         self._evictions = 0
         self._waiters = 0
+        self._version = 0
+        self._invalidated = 0
 
     # ------------------------------------------------------------------
     # The serving path
     # ------------------------------------------------------------------
-    def get(self, key: Hashable):
+    def advance(self, version: int) -> None:
+        """The database reached ``version``: drop what older ones stored."""
+        with self._lock:
+            self._advance(version)
+
+    def _advance(self, version: int) -> bool:
+        """Move on to ``version`` if it is newer; is it the live one?"""
+        if version > self._version:
+            self._version = version
+            self._invalidated += len(self._entries)
+            self._entries.clear()
+        return version == self._version
+
+    def get(self, key: Hashable, version: int = 0):
         """The cached value for ``key`` or ``None`` (counts hit/miss).
 
         A plain lookup without single-flight — the batch path uses it to
@@ -119,6 +142,7 @@ class ResultCache:
         """
         with current_tracer().span("cache.lookup") as span:
             with self._lock:
+                self._advance(version)
                 value = self._entries.get(key, _MISSING)
                 if value is _MISSING:
                     self._misses += 1
@@ -131,12 +155,14 @@ class ResultCache:
             _LAST_OUTCOME.set(outcome)
             return value
 
-    def put(self, key: Hashable, value) -> None:
-        """Store ``value`` under ``key``, evicting LRU entries on overflow."""
+    def put(self, key: Hashable, value, version: int = 0) -> None:
+        """Store ``value`` under ``key``, evicting LRU entries on overflow
+        (not at all if ``version`` is dead: nobody could ask for it)."""
         with self._lock:
-            self._store(key, value)
+            if self._advance(version):
+                self._store(key, value)
 
-    def lookup(self, key: Hashable) -> Tuple[str, object]:
+    def lookup(self, key: Hashable, version: int = 0) -> Tuple[str, object]:
         """One single-flight lookup: ``(outcome, found)``.
 
         ``("hit", value)`` — cached.  ``("miss", flight)`` — the caller
@@ -148,6 +174,7 @@ class ResultCache:
         """
         with current_tracer().span("cache.lookup") as span:
             with self._lock:
+                self._advance(version)
                 found = self._entries.get(key, _MISSING)
                 if found is not _MISSING:
                     self._entries.move_to_end(key)
@@ -156,7 +183,7 @@ class ResultCache:
                 else:
                     found = self._inflight.get(key)
                     if found is None:
-                        found = self._inflight[key] = Flight(key)
+                        found = self._inflight[key] = Flight(key, version)
                         self._misses += 1
                         outcome = "miss"
                     else:
@@ -201,7 +228,7 @@ class ResultCache:
                 return
             self._inflight.pop(flight.key, None)
             try:
-                if cacheable:
+                if cacheable and self._advance(flight.version):
                     self._store(flight.key, value)
             finally:
                 # Crash-proof wakeup: even if storing the entry raises,
@@ -239,7 +266,7 @@ class ResultCache:
     # Inspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Hit/miss/dedup/eviction counters plus the derived hit rate.
+        """Hit/miss/dedup/eviction/invalidation counters plus the hit rate.
 
         ``dedup_hits`` count toward the hit rate: a deduplicated request
         was served without its own engine run, which is exactly what the
@@ -253,6 +280,7 @@ class ResultCache:
                 "misses": self._misses,
                 "dedup_hits": self._dedup_hits,
                 "evictions": self._evictions,
+                "invalidated": self._invalidated,
                 "single_flight_waiters": self._waiters,
                 "size": len(self._entries),
                 "capacity": self._capacity,
@@ -268,6 +296,7 @@ class ResultCache:
             self._misses = 0
             self._dedup_hits = 0
             self._evictions = 0
+            self._invalidated = 0
             self._waiters = 0
 
     @property

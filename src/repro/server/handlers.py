@@ -25,6 +25,8 @@ class ProvenanceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-prov"
     protocol_version = "HTTP/1.1"
+    #: socketserver's spelling of ``setsockopt(TCP_NODELAY)`` on accept.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         """Install the server's per-connection socket timeout.
@@ -72,12 +74,12 @@ class ProvenanceRequestHandler(BaseHTTPRequestHandler):
             response = resolve(core.handle(state, request), self._perform)
             if response.close:
                 self.close_connection = True  # an undrained socket
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(response.body)))
-            for name, value in response.headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(response.body)
+            # One write: a head sent ahead of its body leaves the body
+            # to wait for the client's delayed ACK.  (An HTTP/0.9
+            # request line gets, as ever, the bare body.)
+            head = b""
+            if self.request_version != "HTTP/0.9":
+                head = core.render_head(response, self.version_string())
+            self.wfile.write(head + response.body)
         finally:
             state.request_finished()

@@ -35,8 +35,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.io import changefeed_event_to_dict
-from repro.server.app import canonical_json
+from repro.io import canonical_json, changefeed_event_to_dict
 
 #: Default bound on concurrently live subscriptions per server.
 DEFAULT_MAX_SUBSCRIPTIONS = 1024

@@ -80,6 +80,13 @@ class FrozenMultiset:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt from the items, never from the slots: the cached hash
+        # is only good in the process that took it (str hashes are
+        # randomized per process), and a multiset unpickled with a
+        # foreign one would equal nothing it is looked up against.
+        return type(self), (self._items,)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrozenMultiset):
             return NotImplemented

@@ -1,7 +1,13 @@
 """Unit tests for the frozen multiset."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+from repro.semiring.polynomial import Monomial, Polynomial
 from repro.utils.multiset import FrozenMultiset
 
 
@@ -105,3 +111,44 @@ class TestAlgebra:
         m = FrozenMultiset([1, "a", 2])
         assert len(m) == 3
         assert m.count(1) == 1
+
+
+class TestPickleAcrossProcesses:
+    """A monomial pickled in one process must equal — and hash like —
+    the same monomial built in another.  ``str`` hashes are randomized
+    per process, so a cached hash must never travel in the pickle."""
+
+    CHILD = (
+        "import pickle, sys\n"
+        "from repro.semiring.polynomial import Monomial, Polynomial\n"
+        "from repro.utils.multiset import FrozenMultiset\n"
+        "sys.stdout.buffer.write(pickle.dumps((\n"
+        "    FrozenMultiset(['s1', 's2', 's1']),\n"
+        "    Monomial(['s1', 's2', 's1']),\n"
+        "    Polynomial.parse('s1^2*s2 + 3*s3'),\n"
+        ")))\n"
+    )
+
+    # Two seeds: whatever this process hashes with, one of them differs.
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_unpickled_equals_hashes_and_looks_up_like_local(self, seed):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        blob = subprocess.run(
+            [sys.executable, "-c", self.CHILD],
+            env=env, check=True, capture_output=True, timeout=60,
+        ).stdout
+        local = (
+            FrozenMultiset(["s1", "s2", "s1"]),
+            Monomial(["s1", "s2", "s1"]),
+            Polynomial.parse("s1^2*s2 + 3*s3"),
+        )
+        for mine, theirs in zip(local, pickle.loads(blob)):
+            assert theirs == mine
+            assert hash(theirs) == hash(mine)
+            assert {mine: "found"}[theirs] == "found"
+        polynomial = pickle.loads(blob)[2]
+        assert polynomial.coefficient(Monomial(["s1", "s1", "s2"])) == 1
