@@ -7,7 +7,7 @@ output tuple ``t`` (produced by *any* equivalent query), the database
 1. compute the core monomials with the PTIME transform of Cor. 5.6;
 2. for each core monomial, reconstruct its unique complete adjunct
    (Lemma 5.9) and set its coefficient to the adjunct's automorphism
-   count (Lemma 5.7).
+   count (Lemma 5.7) — counted once per distinct adjunct within a call.
 
 The result equals ``P(t, MinProv(Q), D)`` exactly — verified against
 rewrite-then-evaluate by tests and by
@@ -16,12 +16,17 @@ rewrite-then-evaluate by tests and by
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
 from repro.db.instance import AnnotatedDatabase
 from repro.direct.core_polynomial import core_monomials
-from repro.direct.reconstruct import monomial_coefficient
+from repro.direct.reconstruct import (
+    AdjunctPattern,
+    adjunct_from_pattern,
+    adjunct_pattern,
+)
 from repro.errors import NotAbstractlyTaggedError
+from repro.hom.homomorphism import count_automorphisms
 from repro.query.terms import Constant
 from repro.semiring.polynomial import Monomial, Polynomial
 
@@ -42,16 +47,9 @@ def core_provenance(
     otherwise, and :class:`~repro.errors.NotAbstractlyTaggedError` is
     raised.
     """
-    if not db.is_abstractly_tagged():
-        raise NotAbstractlyTaggedError(
-            "direct core-provenance computation requires an abstractly-"
-            "tagged database (Thm. 6.2 shows it is impossible otherwise)"
-        )
-    constants = tuple(constants)
-    terms: Dict[Monomial, int] = {}
-    for monomial in core_monomials(polynomial):
-        terms[monomial] = monomial_coefficient(monomial, db, output, constants)
-    return Polynomial(terms)
+    _require_abstract_tagging(db)
+    constant_values = {c.value for c in constants}
+    return _core_polynomial(polynomial, db, output, constant_values, {})
 
 
 def core_provenance_table(
@@ -62,10 +60,47 @@ def core_provenance_table(
     """Apply :func:`core_provenance` to a whole query result.
 
     ``results`` is the ``{tuple: polynomial}`` mapping returned by
-    either evaluation engine.
+    either evaluation engine.  Tagging is checked once, and ``|Aut|``
+    is computed once per distinct adjunct pattern across all rows.
     """
-    constants = tuple(constants)
+    _require_abstract_tagging(db)
+    constant_values = {c.value for c in constants}
+    automorphism_counts: Dict[AdjunctPattern, int] = {}
     return {
-        output: core_provenance(polynomial, db, output, constants)
+        output: _core_polynomial(
+            polynomial, db, output, constant_values, automorphism_counts
+        )
         for output, polynomial in results.items()
     }
+
+
+def _require_abstract_tagging(db: AnnotatedDatabase) -> None:
+    if not db.is_abstractly_tagged():
+        raise NotAbstractlyTaggedError(
+            "direct core-provenance computation requires an abstractly-"
+            "tagged database (Thm. 6.2 shows it is impossible otherwise)"
+        )
+
+
+def _core_polynomial(
+    polynomial: Polynomial,
+    db: AnnotatedDatabase,
+    output: Sequence[Hashable],
+    constant_values: AbstractSet[Hashable],
+    automorphism_counts: Dict[AdjunctPattern, int],
+) -> Polynomial:
+    """Core monomials with ``Aut`` coefficients (Lemmas 5.7 and 5.9).
+
+    Equal patterns rebuild the same adjunct, so ``automorphism_counts``
+    (owned by the caller, never outliving one call) builds and searches
+    each adjunct once.
+    """
+    terms: Dict[Monomial, int] = {}
+    for monomial in core_monomials(polynomial):
+        pattern = adjunct_pattern(monomial, db, output, constant_values)
+        count = automorphism_counts.get(pattern)
+        if count is None:
+            count = count_automorphisms(adjunct_from_pattern(pattern, constant_values))
+            automorphism_counts[pattern] = count
+        terms[monomial] = count
+    return Polynomial(terms)

@@ -16,12 +16,14 @@ of a complete adjunct is invertible:
   forces distinct variables to take distinct values).
 
 The coefficient of ``m`` in the core provenance is then the number of
-automorphisms of the reconstructed adjunct (Lemma 5.7).
+automorphisms of the reconstructed adjunct (Lemma 5.7).  The adjunct is
+first read off as an :func:`adjunct_pattern` of plain values, so callers
+that meet many monomials can count automorphisms once per pattern.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.db.instance import AnnotatedDatabase
 from repro.errors import ReproError
@@ -30,6 +32,75 @@ from repro.query.atoms import Atom, Disequality
 from repro.query.cq import DEFAULT_HEAD_RELATION, ConjunctiveQuery
 from repro.query.terms import Constant, Term, Variable
 from repro.semiring.polynomial import Monomial
+
+
+AdjunctPattern = Tuple[Tuple[Tuple[str, Tuple[Hashable, ...]], ...], Tuple[Hashable, ...]]
+
+
+def adjunct_pattern(
+    monomial: Monomial,
+    db: AnnotatedDatabase,
+    output: Sequence[Hashable],
+    constant_values: AbstractSet[Hashable],
+) -> AdjunctPattern:
+    """The adjunct of Lemma 5.9 as plain values.
+
+    One ``(relation, args)`` per symbol of ``monomial`` in symbol order,
+    then the head's args.  Each argument is a :class:`Constant` when its
+    value is in ``constant_values`` (``Const(Q)``) and otherwise the
+    0-based index of its fresh variable, numbered by first occurrence.
+    Equal patterns rebuild equal adjuncts (:func:`adjunct_from_pattern`),
+    so their automorphism counts are equal too.
+    """
+    if not monomial.is_linear():
+        raise ReproError(
+            "core monomials are in support form; got {}".format(monomial)
+        )
+    index_of: Dict[Hashable, int] = {}
+
+    def arg_of(value: Hashable) -> Hashable:
+        if value in constant_values:
+            return Constant(value)
+        return index_of.setdefault(value, len(index_of))
+
+    atoms = []
+    for symbol in monomial.symbols:
+        relation, row = db.tuple_for_annotation(symbol)
+        atoms.append((relation, tuple(arg_of(v) for v in row)))
+    return tuple(atoms), tuple(arg_of(v) for v in output)
+
+
+def adjunct_from_pattern(
+    pattern: AdjunctPattern,
+    constant_values: AbstractSet[Hashable],
+    head_relation: str = DEFAULT_HEAD_RELATION,
+) -> ConjunctiveQuery:
+    """Build the complete adjunct an :func:`adjunct_pattern` describes:
+    fresh variables ``v1, v2, ...`` disequated from each other and from
+    every constant of ``constant_values``."""
+    atom_patterns, head_args = pattern
+    variables: List[Variable] = []
+
+    def term_of(arg: Hashable) -> Term:
+        if isinstance(arg, Constant):
+            return arg
+        if arg == len(variables):  # indices appear in first-occurrence order
+            variables.append(Variable("v{}".format(arg + 1)))
+        return variables[arg]
+
+    atoms = [
+        Atom(relation, tuple(term_of(arg) for arg in args))
+        for relation, args in atom_patterns
+    ]
+    head = Atom(head_relation, tuple(term_of(arg) for arg in head_args))
+
+    disequalities = set()
+    for i, x in enumerate(variables):
+        for y in variables[i + 1:]:
+            disequalities.add(Disequality(x, y))
+        for value in constant_values:
+            disequalities.add(Disequality(x, Constant(value)))
+    return ConjunctiveQuery(head, atoms, disequalities)
 
 
 def reconstruct_adjunct(
@@ -50,34 +121,9 @@ def reconstruct_adjunct(
     >>> str(q)
     'ans(v1) :- R(v1, v1)'
     """
-    if not monomial.is_linear():
-        raise ReproError(
-            "core monomials are in support form; got {}".format(monomial)
-        )
     constant_values = {c.value for c in constants}
-    variable_of: Dict[Hashable, Variable] = {}
-
-    def term_of(value: Hashable) -> Term:
-        if value in constant_values:
-            return Constant(value)
-        if value not in variable_of:
-            variable_of[value] = Variable("v{}".format(len(variable_of) + 1))
-        return variable_of[value]
-
-    atoms: List[Atom] = []
-    for symbol in monomial.symbols:
-        relation, row = db.tuple_for_annotation(symbol)
-        atoms.append(Atom(relation, tuple(term_of(v) for v in row)))
-    head = Atom(head_relation, tuple(term_of(v) for v in output))
-
-    fresh_variables = sorted(variable_of.values())
-    disequalities = set()
-    for i, x in enumerate(fresh_variables):
-        for y in fresh_variables[i + 1:]:
-            disequalities.add(Disequality(x, y))
-        for value in sorted(constant_values, key=repr):
-            disequalities.add(Disequality(x, Constant(value)))
-    return ConjunctiveQuery(head, atoms, disequalities)
+    pattern = adjunct_pattern(monomial, db, output, constant_values)
+    return adjunct_from_pattern(pattern, constant_values, head_relation)
 
 
 def monomial_coefficient(

@@ -15,7 +15,10 @@ Decision procedures, by class:
   possible completions w.r.t. all constants of both queries
   (Def. 4.1) — each completion is complete, so the previous criterion
   applies.  This is sound and complete, at an exponential price that
-  Thm. 4.10 shows unavoidable.
+  Thm. 4.10 shows unavoidable.  A right adjunct that is itself complete
+  w.r.t. those constants can only embed injectively, so its
+  :func:`~repro.hom.homomorphism.may_embed` invariants skip most
+  searches that would fail.
 
 A canonical-database procedure for disequality-free queries is included
 as an independent oracle for differential testing.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.hom.homomorphism import has_homomorphism
+from repro.hom.homomorphism import embedding_invariants, has_homomorphism, may_embed
 from repro.query.cq import ConjunctiveQuery
 from repro.query.terms import is_variable
 from repro.query.ucq import Query, adjuncts_of
@@ -57,9 +60,19 @@ def is_contained(q1: Query, q2: Query) -> bool:
     constants = set()
     for adjunct in left + right:
         constants.update(adjunct.constants())
+    # Invariants only for complete right adjuncts: ``may_embed`` is a
+    # necessary condition only for homomorphisms out of those.
+    right_invariants = [
+        embedding_invariants(r) if r.is_complete(constants) else None for r in right
+    ]
+    any_complete = any(inv is not None for inv in right_invariants)
     for adjunct in left:
         for completion in _completions_for_containment(adjunct, constants):
-            if not any(has_homomorphism(r, completion) for r in right):
+            target = embedding_invariants(completion) if any_complete else None
+            if not any(
+                (inv is None or may_embed(inv, target)) and has_homomorphism(r, completion)
+                for r, inv in zip(right, right_invariants)
+            ):
                 return False
     return True
 

@@ -25,12 +25,18 @@ Three refinements of plain homomorphisms matter to the paper:
   number of automorphisms of a p-minimal adjunct is the coefficient of
   its monomials in the core provenance;
 * **isomorphisms** — used to deduplicate canonical adjuncts.
+
+:func:`embedding_invariants` and :func:`may_embed` are a cheap
+necessary condition for a homomorphism out of a *complete* query, used
+to skip searches that cannot succeed (MinProv step III, the completion
+branch of containment).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 from repro.query.atoms import Disequality
 from repro.query.cq import ConjunctiveQuery
@@ -204,6 +210,65 @@ def has_surjective_homomorphism(
     ``Q <=_P Q'``; here source plays ``Q'`` and target plays ``Q``).
     """
     return find_homomorphism(source, target, surjective=True) is not None
+
+
+EmbeddingInvariants = Tuple[Tuple[Hashable, ...], Counter, int]
+
+
+def _equality_shape(args: Tuple[Term, ...]) -> Tuple[Hashable, ...]:
+    """The arguments with each variable replaced by the position of its
+    first occurrence; constants stay themselves."""
+    first: Dict[Term, int] = {}
+    return tuple(
+        first.setdefault(arg, index) if isinstance(arg, Variable) else arg
+        for index, arg in enumerate(args)
+    )
+
+
+def embedding_invariants(query: ConjunctiveQuery) -> EmbeddingInvariants:
+    """What an injective, constant-fixing renaming of variables keeps.
+
+    The head's equality shape, a ``Counter`` of ``(relation, shape)``
+    over the *distinct* relational atoms, and the number of variables
+    (all of which occur in the body, Def. 2.1).  Compare two of these
+    with :func:`may_embed`.
+    """
+    shapes: Counter = Counter()
+    variables: Set[Term] = set()
+    for atom in set(query.atoms):
+        shapes[atom.relation, _equality_shape(atom.args)] += 1
+        variables.update(atom.args)
+    variable_count = sum(1 for term in variables if isinstance(term, Variable))
+    return _equality_shape(query.head.args), shapes, variable_count
+
+
+def may_embed(source: EmbeddingInvariants, target: EmbeddingInvariants) -> bool:
+    """A necessary condition for a homomorphism ``source -> target``,
+    given the :func:`embedding_invariants` of both queries.
+
+    Sound only when the source query is complete (Def. 2.2) w.r.t. the
+    constants of *both* queries: its disequalities then forbid any two
+    of its terms from meeting, so every homomorphism out of it is an
+    injective renaming of variables onto variables that fixes
+    constants.  Such a map preserves the head's shape, sends distinct
+    atoms to distinct atoms of the same shape, and needs as many
+    target variables as there are source variables.
+
+    >>> from repro.query.parser import parse_query
+    >>> path = parse_query("ans() :- R(x, y), R(y, z), x != y, x != z, y != z")
+    >>> loop = parse_query("ans() :- R(x, x)")
+    >>> may_embed(embedding_invariants(path), embedding_invariants(loop))
+    False
+    >>> has_homomorphism(path, loop)
+    False
+    """
+    source_head, source_shapes, source_variables = source
+    target_head, target_shapes, target_variables = target
+    return (
+        source_head == target_head
+        and source_variables <= target_variables
+        and all(target_shapes[shape] >= n for shape, n in source_shapes.items())
+    )
 
 
 def automorphisms(query: ConjunctiveQuery) -> List[Homomorphism]:

@@ -10,7 +10,8 @@ II.  minimize each (complete) adjunct by duplicate-atom removal
      (Lemma 3.13);
 III. remove adjuncts contained in another adjunct — since all adjuncts
      are complete, containment is a single homomorphism test
-     (Thm. 3.1).
+     (Thm. 3.1), skipped when the adjuncts' embedding invariants
+     already rule it out.
 
 The output realizes the *core provenance* of ``Q``: for every database
 ``D`` and output tuple ``t``, ``P(t, MinProv(Q), D) <= P(t, Q', D)``
@@ -23,9 +24,15 @@ The exponential size of the output is unavoidable (Thm. 4.10); see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.hom.homomorphism import has_homomorphism, is_isomorphic
+from repro.hom.homomorphism import (
+    EmbeddingInvariants,
+    embedding_invariants,
+    has_homomorphism,
+    is_isomorphic,
+    may_embed,
+)
 from repro.minimize.canonical import possible_completions
 from repro.minimize.standard import remove_contained_adjuncts
 from repro.query.cq import ConjunctiveQuery
@@ -53,11 +60,16 @@ class MinProvTrace:
         return self.step3
 
 
-def _contained_complete(inner: ConjunctiveQuery, outer: ConjunctiveQuery) -> bool:
+_Entry = Tuple[ConjunctiveQuery, EmbeddingInvariants]
+
+
+def _contained_complete(inner: _Entry, outer: _Entry) -> bool:
     """``inner ⊆ outer`` for complete adjuncts: one homomorphism test
     (Thm. 3.1 — the inner query is complete w.r.t. every constant in
-    play, so homomorphism existence characterizes containment)."""
-    return has_homomorphism(outer, inner)
+    play, so homomorphism existence characterizes containment).  The
+    outer adjunct is complete too, so :func:`may_embed` applies and
+    most failing searches are never started."""
+    return may_embed(outer[1], inner[1]) and has_homomorphism(outer[0], inner[0])
 
 
 def min_prov_trace(query: Query) -> MinProvTrace:
@@ -78,10 +90,9 @@ def min_prov_trace(query: Query) -> MinProvTrace:
 
     # Step III: remove contained adjuncts (containment of complete
     # queries is a homomorphism test).
-    step3_adjuncts = remove_contained_adjuncts(
-        step2_adjuncts, contained=_contained_complete
-    )
-    step3 = UnionQuery(step3_adjuncts)
+    entries = [(adjunct, embedding_invariants(adjunct)) for adjunct in step2_adjuncts]
+    survivors = remove_contained_adjuncts(entries, contained=_contained_complete)
+    step3 = UnionQuery([adjunct for adjunct, _ in survivors])
     return MinProvTrace(input=query, step1=step1, step2=step2, step3=step3)
 
 

@@ -16,13 +16,15 @@ minimization throughout Table 1:
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, TypeVar
 
 from repro.errors import UnsupportedQueryError
 from repro.hom.containment import is_equivalent
 from repro.hom.homomorphism import has_homomorphism
 from repro.query.cq import ConjunctiveQuery
 from repro.query.ucq import Query, UnionQuery, adjuncts_of
+
+T = TypeVar("T")
 
 
 def minimize_cq(query: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -141,15 +143,17 @@ def minimize_ucq(
 
 
 def remove_contained_adjuncts(
-    adjuncts: List[ConjunctiveQuery],
-    contained: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool] = None,
-) -> List[ConjunctiveQuery]:
+    adjuncts: List[T],
+    contained: Callable[[T, T], bool] = None,
+) -> List[T]:
     """Drop every adjunct contained in another surviving adjunct.
 
     ``contained(a, b)`` decides ``a ⊆ b`` (defaults to the general
     containment test).  When two adjuncts contain each other, the one
     encountered first survives — exactly the survivor semantics step III
-    of MinProv needs.
+    of MinProv needs.  With a custom ``contained`` the items may be any
+    values standing for adjuncts (MinProv passes each adjunct with its
+    embedding invariants).
     """
     if contained is None:
         from repro.hom.containment import is_contained
