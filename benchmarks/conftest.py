@@ -7,7 +7,7 @@ and times the operation that produces it.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Add ``-s`` to see the regenerated artifacts printed next to the paper's
-values (recorded in EXPERIMENTS.md).
+values.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ batch of overlapping queries through it:
 Run it:  python examples/sharded_batch.py
 """
 
-from repro import QuerySession, evaluate, parse_query
+from repro import EngineConfig, QuerySession, evaluate, parse_query
 from repro.db.generators import random_database
 
 
@@ -34,7 +34,8 @@ def main():
         parse_query("stocked(w, count(*)) :- Stocks(w, s)"),  # aggregate
     ]
 
-    with QuerySession(db, engine="sharded", shards=4, workers=2) as session:
+    config = EngineConfig(engine="sharded", shards=4, workers=2)
+    with QuerySession(db, config) as session:
         results = session.evaluate_batch(queries)
         stats = session.stats()
         print(

@@ -25,6 +25,7 @@ server's ``GET /metrics`` endpoint exposes.
 Run it:  python examples/trace_a_query.py
 """
 
+from repro.config import EngineConfig
 from repro.db.generators import random_database
 from repro.obs import MetricsRegistry, format_trace, tracing, tree_stage_names
 from repro.query.parser import parse_query
@@ -39,7 +40,7 @@ def main():
 
     print("== hashjoin: cold then warm ==")
     with tracing("query", registry=registry) as tracer:
-        with QuerySession(db, engine="hashjoin") as session:
+        with QuerySession(db, "hashjoin") as session:
             session.evaluate(QUERY)
             session.refresh()  # drop the memo; the plan cache survives
             session.evaluate(QUERY)
@@ -48,10 +49,11 @@ def main():
     print()
     print("== sharded: 2 shards, thread mode ==")
     with tracing("query", registry=registry) as tracer:
-        with QuerySession(
-            db, engine="sharded", shards=2, workers=2, mode="thread",
+        config = EngineConfig(
+            engine="sharded", shards=2, workers=2, mode="thread",
             broadcast_threshold=0,
-        ) as session:
+        )
+        with QuerySession(db, config) as session:
             session.evaluate(QUERY)
     sharded_tree = tracer.tree()
     print(format_trace(sharded_tree))

@@ -2,11 +2,12 @@
 
 The library implements the full system of Amsterdamer, Deutch, Milo and
 Tannen's paper: N[X] provenance polynomials and their terseness order,
-conjunctive queries with disequalities and unions thereof, three
-provenance-aware evaluation engines (set-at-a-time hash join,
-backtracking, SQLite), query containment/equivalence, standard and
-provenance minimization (**MinProv**), and the direct (query-free)
-computation of core provenance.
+conjunctive queries with disequalities and unions thereof, four
+provenance-aware evaluation engines (set-at-a-time hash join, its
+shard-parallel fan-out, backtracking, SQLite), query
+containment/equivalence, standard and provenance minimization
+(**MinProv**), and the direct (query-free) computation of core
+provenance.
 
 Quickstart::
 
@@ -27,8 +28,8 @@ and batches through :func:`repro.connect`, which opens a warm
     with connect(db, EngineConfig(engine="sharded", shards=4)) as session:
         results = session.evaluate_batch([query, query])
 
-See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the
-paper-artifact reproduction index.
+See ``DESIGN.md`` for the architecture; the ``benchmarks/bench_*.py``
+files regenerate the paper's tables and figures.
 """
 
 from repro.aggregate.evaluate import aggregate_table, evaluate_aggregate
@@ -116,7 +117,7 @@ from repro.semiring.polynomial import Monomial, Polynomial
 from repro.server import ResultCache, ServerState, make_server
 from repro.session import QuerySession
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     # engine configuration facade (the documented way to pick engines)

@@ -10,7 +10,7 @@ specialized database (the property tests assert exactly this).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Dict, Hashable, Tuple, Union
 
 from repro.aggregate.result import AggregateAccumulator, AggregateResult
 from repro.algebra.monoid import monoid_for
@@ -28,15 +28,11 @@ def evaluate_aggregate(
     query: AggregateQuery,
     db: AnnotatedDatabase,
     config: Union[EngineConfig, str, None] = None,
-    engine: Optional[str] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Dict[Row, AggregateResult]:
     """Evaluate an aggregate query, returning ``{group: result}``.
 
     ``config`` is an :class:`~repro.config.EngineConfig` (or a bare
-    engine name); the ``engine=``/``shards=``/``workers=`` keywords are
-    deprecated shims over it.  The default ``hashjoin`` engine computes
+    engine name).  The default ``hashjoin`` engine computes
     each rule's contributions set-at-a-time
     (:mod:`repro.engine.hashjoin`); ``backtrack`` enumerates
     assignments one at a time; ``sharded`` splits each rule's hash-join
@@ -51,13 +47,7 @@ def evaluate_aggregate(
     >>> print(evaluate_aggregate(q, db)[("nyc",)])
     ⟨s1 + s2⟩ sum[s2⊗2 + s1⊗5]
     """
-    config = resolve_engine_config(
-        config,
-        "evaluate_aggregate",
-        engine=engine,
-        shards=shards,
-        workers=workers,
-    )
+    config = resolve_engine_config(config, "evaluate_aggregate")
     if config.engine == "hashjoin":
         from repro.engine.hashjoin import evaluate_aggregate_hashjoin
 
@@ -72,7 +62,6 @@ def evaluate_aggregate(
             workers=config.workers,
             mode=config.mode,
             broadcast_threshold=config.broadcast_threshold,
-            columnar=config.columnar,
         )
     if config.engine != "backtrack":
         raise EvaluationError(

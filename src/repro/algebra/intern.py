@@ -191,10 +191,10 @@ class InternTable:
     def export_state(self) -> Tuple[List[str], List[Tuple[int, ...]]]:
         """A picklable ``(symbols, monomial keys)`` snapshot of this table.
 
-        Worker shards intern into private tables and ship this snapshot
-        home with their results; the parent rebuilds global ids through
-        :meth:`remapper`.  Taken under the lock so the keys are
-        consistent with every id handed out so far.
+        Durability snapshots store it, and recovery re-interns it into
+        a serving table through :class:`InternRemapper`.  Taken under
+        the lock so the keys are consistent with every id handed out so
+        far.
         """
         with self._lock:
             return list(self._symbols), list(self._monomial_keys)
@@ -215,38 +215,6 @@ class InternTable:
                 self._symbols[symbol_start:],
                 self._monomial_keys[monomial_start:],
             )
-
-    def remapper(self, symbols: List[str], monomial_keys: List[Tuple[int, ...]]):
-        """A function mapping another table's monomial ids into this one.
-
-        ``symbols``/``monomial_keys`` are the other table's
-        :meth:`export_state`.  Remapped monomials are *identical* as
-        symbol multisets — only the integer ids change — so merged
-        annotations decode to the same polynomials the source table
-        would produce.  The returned closure captures ``self``: a merge
-        keeps writing into the table it started with even if
-        :func:`shared_intern` swaps the shared table mid-merge (the
-        merge-after-swap regression).
-
-        >>> local, shared = InternTable(), InternTable()
-        >>> m = local.times_symbol(local.one, local.symbol_id("z"))
-        >>> remap = shared.remapper(*local.export_state())
-        >>> str(shared.monomial(remap(m)))
-        'z'
-        """
-        symbol_ids = [self.symbol_id(symbol) for symbol in symbols]
-        cache: Dict[int, int] = {}
-
-        def remap(monomial_id: int) -> int:
-            mapped = cache.get(monomial_id)
-            if mapped is None:
-                key = tuple(
-                    sorted(symbol_ids[s] for s in monomial_keys[monomial_id])
-                )
-                mapped = cache[monomial_id] = self._intern(key)
-            return mapped
-
-        return remap
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -289,7 +257,7 @@ class InternTable:
 class InternRemapper:
     """Incrementally maps one foreign table's monomial ids into a target.
 
-    The columnar sharded engine keeps one remapper per (worker table,
+    The sharded engine keeps one remapper per (worker table,
     target table) pair: as the worker's accumulated export log grows,
     :meth:`extend` appends the new entries, so the dense ``local id ->
     target id`` array is built once per monomial, not once per

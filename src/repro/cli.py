@@ -156,8 +156,6 @@ def _engine_config(args, engine: str) -> EngineConfig:
         shards=getattr(args, "shards", None),
         workers=getattr(args, "workers", None),
         broadcast_threshold=getattr(args, "broadcast_threshold", None),
-        columnar=not getattr(args, "no_columnar", False),
-        data_dir=getattr(args, "data_dir", None),
     )
 
 
@@ -476,6 +474,7 @@ def command_serve(args, out) -> int:
         config=_engine_config(args, args.engine),
         cache_size=args.cache_size,
         metrics=not args.no_metrics,
+        data_dir=args.data_dir,
         snapshot_every=args.snapshot_every,
         server_mode=args.server_mode,
         request_timeout=args.request_timeout,
@@ -705,12 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="replicate relations smaller than N rows to every "
             "shard instead of partitioning them (--engine sharded)",
-        )
-        sub.add_argument(
-            "--no-columnar",
-            action="store_true",
-            help="use the legacy dict-of-dicts sharded merge path "
-            "instead of columnar results",
         )
 
     sub_eval = subparsers.add_parser("eval", help="evaluate with provenance")

@@ -4,23 +4,20 @@ Every entry point that evaluates queries — :func:`repro.evaluate`,
 :func:`repro.provenance`, :func:`repro.evaluate_aggregate`,
 :class:`repro.QuerySession`, :class:`repro.ViewRegistry`,
 :func:`repro.make_server` and the CLI — accepts one
-:class:`EngineConfig` describing *how* to execute: which engine, how
-many shards and workers, process or thread pools, the replication
-threshold for small relations, and whether the sharded engine uses the
-columnar result path.  The scattered ``engine=``/``shards=``/
-``workers=`` keywords those functions grew over time still work as thin
-shims, but warn with :class:`DeprecationWarning` and simply overlay the
-matching config fields.
+:class:`EngineConfig` (or a bare engine name as shorthand) describing
+*how* to execute: which engine, how many shards and workers, process or
+thread pools, and the replication threshold for small relations.  It is
+the only spelling: none of those entry points takes the fields as
+separate keywords.
 
 >>> EngineConfig()
-EngineConfig(engine='hashjoin', shards=None, workers=None, mode='process', broadcast_threshold=None, columnar=True, data_dir=None, server_mode='threaded')
+EngineConfig(engine='hashjoin', shards=None, workers=None, mode='process', broadcast_threshold=None)
 >>> EngineConfig(engine="sharded", shards=2).with_overrides(workers=2).shards
 2
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -28,10 +25,6 @@ from repro.errors import EvaluationError
 
 #: Pool kinds the sharded engine can run on.
 EXECUTOR_MODES = ("process", "thread")
-
-#: Serving-tier front ends: the asyncio event loop or the
-#: one-thread-per-connection :class:`http.server.ThreadingHTTPServer`.
-SERVER_MODES = ("async", "threaded")
 
 
 @dataclass(frozen=True)
@@ -48,17 +41,11 @@ class EngineConfig:
     engine pick" (:data:`~repro.engine.sharded.DEFAULT_SHARDS` shards,
     one worker per core up to the shard count).  ``broadcast_threshold``
     is the row count below which a relation is replicated to every
-    shard instead of partitioned (``None`` = engine default).
-    ``columnar`` selects the flat-column sharded result path; turn it
-    off to run the legacy dict-of-dicts merge the differential suite
-    compares against.  ``data_dir`` points the serving tier at a
-    durability directory (snapshots + write-ahead log, see
-    :mod:`repro.durability`); ``None`` keeps everything in memory.
-    ``server_mode`` selects the serving front end: ``"async"`` runs the
-    event-loop tier (:mod:`repro.server.aio`, 10k+ concurrent
-    connections), ``"threaded"`` the one-thread-per-connection fallback
-    — it only matters to :func:`repro.server.app.make_server` and the
-    CLI ``serve`` subcommand.
+    shard instead of partitioned (``None`` = engine default).  Serving
+    deployment settings (durability directory, front end) are not
+    evaluation settings: they are keywords of
+    :class:`~repro.server.app.ServerState` and
+    :func:`~repro.server.app.make_server`.
     """
 
     engine: str = "hashjoin"
@@ -66,9 +53,6 @@ class EngineConfig:
     workers: Optional[int] = None
     mode: str = "process"
     broadcast_threshold: Optional[int] = None
-    columnar: bool = True
-    data_dir: Optional[str] = None
-    server_mode: str = "threaded"
 
     def __post_init__(self):  # noqa: D105
         if not isinstance(self.engine, str) or not self.engine:
@@ -101,19 +85,6 @@ class EngineConfig:
                 "EngineConfig.broadcast_threshold must be a non-negative "
                 "int or None, got {!r}".format(threshold)
             )
-        if self.data_dir is not None and (
-            not isinstance(self.data_dir, str) or not self.data_dir
-        ):
-            raise EvaluationError(
-                "EngineConfig.data_dir must be a non-empty path or None, "
-                "got {!r}".format(self.data_dir)
-            )
-        if self.server_mode not in SERVER_MODES:
-            raise EvaluationError(
-                "EngineConfig.server_mode must be one of {}; got {!r}".format(
-                    ", ".join(SERVER_MODES), self.server_mode
-                )
-            )
 
     def with_overrides(self, **overrides) -> "EngineConfig":
         """A copy with the given fields replaced (unknown names raise)."""
@@ -130,42 +101,26 @@ def resolve_engine_config(
     config: Union[EngineConfig, str, None],
     caller: str,
     default: Optional[EngineConfig] = None,
-    **legacy,
 ) -> EngineConfig:
-    """Normalize an entry point's ``config`` argument plus legacy kwargs.
+    """Normalize an entry point's ``config`` argument.
 
     ``config`` may be a full :class:`EngineConfig` (taken verbatim), a
     bare engine name (shorthand for ``default`` with that engine), or
-    ``None`` (use ``default``).  Legacy keyword values that are not
-    ``None`` overlay the result and emit one :class:`DeprecationWarning`
-    naming ``caller`` — the shim contract: old call sites keep working,
-    new code passes a config.
+    ``None`` (use ``default``, itself defaulting to ``EngineConfig()``).
+    Anything else raises :class:`~repro.errors.EvaluationError` naming
+    ``caller``.
     """
     base = EngineConfig() if default is None else default
-    if config is not None:
-        if isinstance(config, str):
-            base = replace(base, engine=config)
-        elif isinstance(config, EngineConfig):
-            base = config
-        else:
-            raise EvaluationError(
-                "{}: config must be an EngineConfig or an engine name, "
-                "got {!r}".format(caller, type(config).__name__)
-            )
-    supplied = {
-        name: value for name, value in legacy.items() if value is not None
-    }
-    if supplied:
-        warnings.warn(
-            "{}: the {} keyword argument(s) are deprecated; pass "
-            "repro.EngineConfig(...) as config instead".format(
-                caller, ", ".join(sorted(supplied))
-            ),
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        base = base.with_overrides(**supplied)
-    return base
+    if config is None:
+        return base
+    if isinstance(config, str):
+        return replace(base, engine=config)
+    if isinstance(config, EngineConfig):
+        return config
+    raise EvaluationError(
+        "{}: config must be an EngineConfig or an engine name, "
+        "got {!r}".format(caller, type(config).__name__)
+    )
 
 
 def connect(
@@ -190,17 +145,9 @@ def connect(
     """
     from repro.session import QuerySession
 
-    base = EngineConfig(engine="sharded")
-    if config is not None:
-        if isinstance(config, str):
-            base = replace(base, engine=config)
-        elif isinstance(config, EngineConfig):
-            base = config
-        else:
-            raise EvaluationError(
-                "connect: config must be an EngineConfig or an engine "
-                "name, got {!r}".format(type(config).__name__)
-            )
+    base = resolve_engine_config(
+        config, "connect", default=EngineConfig(engine="sharded")
+    )
     if overrides:
         base = base.with_overrides(**overrides)
     return QuerySession(db, base)

@@ -13,9 +13,9 @@ This package persists it:
   data directory, rotates the WAL into fresh snapshots, and rebuilds
   the exact pre-crash state on boot.
 
-Wire it in with ``EngineConfig(data_dir=...)`` /
-``repro-prov serve --data-dir``; the on-disk formats are specified
-byte-by-byte in ``DESIGN.md``.
+Wire it in with ``ServerState(db, data_dir=...)`` /
+``make_server(db, data_dir=...)`` / ``repro-prov serve --data-dir``;
+the on-disk formats are specified byte-by-byte in ``DESIGN.md``.
 """
 
 from repro.durability.snapshot import (

@@ -1,6 +1,6 @@
 """Provenance-aware query evaluation.
 
-Three independent engines compute the same annotated results:
+Four engines compute the same annotated results:
 
 * :mod:`repro.engine.hashjoin` — the default: set-at-a-time hash joins
   over K-relations with interned monomials

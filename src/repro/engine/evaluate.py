@@ -14,7 +14,7 @@ polynomials of the adjuncts add up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.config import EngineConfig, resolve_engine_config
 from repro.db.instance import AnnotatedDatabase, Row, Value
@@ -167,9 +167,6 @@ def evaluate(
     query: Query,
     db: AnnotatedDatabase,
     config: Union[EngineConfig, str, None] = None,
-    engine: Optional[str] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Dict[HeadTuple, Polynomial]:
     """Evaluate a CQ≠ or UCQ≠, returning ``{output tuple: provenance}``.
 
@@ -185,18 +182,14 @@ def evaluate(
     parallel workers (:mod:`repro.engine.sharded`) — batches should
     prefer a warm :class:`~repro.session.QuerySession`.  All engines
     return identical polynomials on every input — the differential
-    suites assert it — so the choice is purely about speed.  The
-    ``engine=``/``shards=``/``workers=`` keywords are deprecated shims
-    over the matching config fields.
+    suites assert it — so the choice is purely about speed.
 
     Aggregate queries annotate their values in a semimodule, not a
     polynomial — they have their own evaluator,
     :func:`repro.aggregate.evaluate.evaluate_aggregate`, built on the
     same engines.
     """
-    config = resolve_engine_config(
-        config, "evaluate", engine=engine, shards=shards, workers=workers
-    )
+    config = resolve_engine_config(config, "evaluate")
     if config.engine in ("hashjoin", "sharded"):
         if isinstance(query, AggregateQuery):
             raise EvaluationError(
@@ -217,7 +210,6 @@ def evaluate(
                 workers=config.workers,
                 mode=config.mode,
                 broadcast_threshold=config.broadcast_threshold,
-                columnar=config.columnar,
             )
         from repro.engine.hashjoin import evaluate_hashjoin
 
@@ -236,14 +228,9 @@ def provenance(
     db: AnnotatedDatabase,
     output: Sequence[Value],
     config: Union[EngineConfig, str, None] = None,
-    engine: Optional[str] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> Polynomial:
     """``P(t, Q, D)`` for one output tuple (zero when absent)."""
-    config = resolve_engine_config(
-        config, "provenance", engine=engine, shards=shards, workers=workers
-    )
+    config = resolve_engine_config(config, "provenance")
     return evaluate(query, db, config).get(tuple(output), Polynomial.zero())
 
 

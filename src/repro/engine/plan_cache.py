@@ -11,8 +11,7 @@ relation's size collapsed to its power-of-two band — so that
 * growth or shrinkage past a band boundary invalidates exactly the
   plans whose ordering decisions it could change.
 
-The greedy ordering heuristic lives here too, shared by the
-backtracking planner (:mod:`repro.engine.planner`) and the hash-join
+The greedy ordering heuristic lives here too, used by the hash-join
 compiler (:mod:`repro.engine.hashjoin`): prefer atoms with more
 already-bound variables, break ties by smaller relation cardinality,
 then by fewer newly-bound variables.

@@ -11,30 +11,26 @@ the assignment space and their union is annotation-identical to the
 Def. 2.12 sum over assignments — the cross-shard differential suite
 asserts this against the backtracking engine for every shard count.
 
-Two result paths exist, selected by the ``columnar`` flag:
-
-* **Columnar** (default): workers keep a *persistent* shard-local
-  :class:`~repro.algebra.intern.InternTable` for the lifetime of the
-  pool, cache their per-snapshot join-step indexes, and return results
-  as flat :class:`~repro.algebra.columnar.ColumnarTable` columns plus
-  an *incremental* intern export (only the symbols/monomials minted
-  since the previous task).  The parent accumulates each worker's
-  export log, maintains a dense ``local id -> global id`` array per
-  (worker, target-table) pair, and remaps whole result columns in one
-  gather (numpy-vectorized when available).  Thread-mode workers
-  intern straight into the caller's table — no remap at all.
-* **Legacy dict** (``columnar=False``): fresh intern table per task,
-  dict-of-dict results, per-monomial remapping merge — kept as the
-  reference the columnar-vs-dict differential suite runs against.
+Results travel one way: workers keep a *persistent* shard-local
+:class:`~repro.algebra.intern.InternTable` for the lifetime of the
+pool, cache their per-snapshot join-step indexes, and return results
+as flat :class:`~repro.algebra.columnar.ColumnarTable` columns plus an
+*incremental* intern export (only the symbols/monomials minted since
+the previous task).  The parent accumulates each worker's export log,
+maintains a dense ``local id -> global id`` array per (worker,
+target-table) pair (:class:`~repro.algebra.intern.InternRemapper`),
+and remaps whole result columns in one gather (numpy-vectorized when
+available).  Thread-mode workers intern straight into the caller's
+table — no remap at all.
 
 Execution backends: a ``concurrent.futures`` process pool whose
 :class:`~repro.db.sharding.ShardPayload` ships once per database epoch
 — through a ``multiprocessing.shared_memory`` segment holding the
-offset-based encoding (:func:`repro.db.sharding.encode_payload`) on the
-columnar path, pickled initargs otherwise — with a thread-pool fallback
-when process spawning is unavailable.  :class:`ShardedExecutor` owns
-pool, segment and partitioning, and is what a
-:class:`~repro.session.QuerySession` keeps warm across a batch.
+offset-based encoding (:func:`repro.db.sharding.encode_payload`), or
+pickled initargs when no segment can be created — with a thread-pool
+fallback when process spawning is unavailable.
+:class:`ShardedExecutor` owns pool, segment and partitioning, and is
+what a :class:`~repro.session.QuerySession` keeps warm across a batch.
 """
 
 from __future__ import annotations
@@ -49,6 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.algebra.columnar import ColumnarTable, decode_polynomials
 from repro.algebra.intern import InternRemapper, InternTable, shared_intern
+from repro.config import EXECUTOR_MODES
 from repro.db.instance import AnnotatedDatabase
 from repro.db.sharding import (
     ShardedDatabase,
@@ -56,7 +53,7 @@ from repro.db.sharding import (
     decode_payload,
     encode_payload,
 )
-from repro.engine.hashjoin import HeadTuple, _Annotation, _execute, plan_for
+from repro.engine.hashjoin import HeadTuple, _execute, plan_for
 from repro.engine.plan_cache import PlanCache
 from repro.errors import EvaluationError
 from repro.obs.trace import current_tracer
@@ -67,15 +64,6 @@ from repro.semiring.polynomial import Polynomial
 
 #: Default number of shards when the caller does not choose one.
 DEFAULT_SHARDS = 4
-
-#: What one shard returns for one plan on the legacy dict path:
-#: interned annotations plus the shard-local table snapshot they are
-#: encoded against.
-ShardResult = Tuple[
-    Dict[HeadTuple, _Annotation], Tuple[List[str], List[Tuple[int, ...]]]
-]
-
-_EXECUTOR_MODES = ("process", "thread")
 
 
 class _ColumnarShard(NamedTuple):
@@ -148,24 +136,13 @@ def _index_key_fn(plan, anchor_step: Optional[int], shard_index: int, token: int
 
 
 def _run_plan(
-    payload, plan, anchor_step: Optional[int], shard_index: int
-) -> ShardResult:
-    """Legacy dict path: one plan, one shard, a fresh local table."""
-    intern = InternTable()
-    results = _execute(
-        plan, None, intern, facts_fn=_facts_fn(payload, anchor_step, shard_index)
-    )
-    return results, intern.export_state()
-
-
-def _run_plan_columnar(
     payload,
     plan,
     anchor_step: Optional[int],
     shard_index: int,
     intern: InternTable,
 ) -> ColumnarTable:
-    """Columnar path: run one plan on one shard into ``intern``'s ids.
+    """Run one plan on one shard into ``intern``'s ids, as columns.
 
     Join-step indexes are cached on the payload snapshot, so re-running
     the same plan over an unchanged snapshot (the steady state of a
@@ -182,12 +159,12 @@ def _run_plan_columnar(
     return ColumnarTable.from_results(results)
 
 
-def _run_plan_columnar_local(
+def _run_plan_local(
     payload, plan, anchor_step, shard_index, intern: InternTable
 ) -> _ColumnarShard:
-    """Thread-mode columnar task: interns directly into the caller's
-    table, so the result needs no export and no remap."""
-    table = _run_plan_columnar(payload, plan, anchor_step, shard_index, intern)
+    """Thread-mode task: interns directly into the caller's table, so
+    the result needs no export and no remap."""
+    table = _run_plan(payload, plan, anchor_step, shard_index, intern)
     return _ColumnarShard(None, 0, 0, [], [], table)
 
 
@@ -204,7 +181,7 @@ def _run_aggregate(
     Rules whose plans have no partitioned anchor run on shard 0 only
     (their work cannot be split); anchored rules run everywhere.  With
     a persistent ``intern`` (process workers), join-step indexes are
-    cached on the snapshot like the columnar plan path.
+    cached on the snapshot like the plan path.
     """
     # Imported here: repro.aggregate reaches back into repro.engine
     # during package initialization (same cycle hashjoin dodges).
@@ -294,14 +271,8 @@ def _worker_intern() -> InternTable:
 
 
 def _run_plan_in_worker(plan, anchor_step, shard_index):
-    return _run_plan(_WORKER_PAYLOAD, plan, anchor_step, shard_index)
-
-
-def _run_plan_columnar_in_worker(plan, anchor_step, shard_index):
     intern = _worker_intern()
-    table = _run_plan_columnar(
-        _WORKER_PAYLOAD, plan, anchor_step, shard_index, intern
-    )
+    table = _run_plan(_WORKER_PAYLOAD, plan, anchor_step, shard_index, intern)
     symbol_start, monomial_start = _WORKER_EXPORTED
     symbols, monomial_keys = intern.export_range(symbol_start, monomial_start)
     _WORKER_EXPORTED[0] = symbol_start + len(symbols)
@@ -322,51 +293,6 @@ def _run_aggregate_in_worker(query, plans, anchors, shard_index):
 # ----------------------------------------------------------------------
 # Parent-side merging
 # ----------------------------------------------------------------------
-def _merge_shard_results(
-    intern: InternTable,
-    shard_outputs: Sequence[ShardResult],
-) -> Dict[HeadTuple, _Annotation]:
-    """Union per-shard annotation dictionaries under global intern ids.
-
-    Remapping preserves each monomial as a symbol multiset, and dict
-    union adds coefficients — polynomial addition in ``N[X]`` — so the
-    merged table equals the single-table evaluation exactly.  (The
-    legacy dict path; the columnar path remaps flat columns instead.)
-    """
-    merged: Dict[HeadTuple, _Annotation] = {}
-    for results, state in shard_outputs:
-        remap = intern.remapper(*state)
-        for head, annotation in results.items():
-            bucket = merged.get(head)
-            if bucket is None:
-                bucket = merged[head] = {}
-            for monomial, coefficient in annotation.items():
-                key = remap(monomial)
-                bucket[key] = bucket.get(key, 0) + coefficient
-    return merged
-
-
-def sum_adjunct_annotations(
-    adjuncts: Sequence[ConjunctiveQuery],
-    table: Dict[ConjunctiveQuery, Dict[HeadTuple, _Annotation]],
-) -> Dict[HeadTuple, _Annotation]:
-    """Add up per-adjunct interned annotations (UCQ union semantics).
-
-    ``adjuncts`` may repeat — each occurrence contributes once, exactly
-    as :func:`repro.engine.hashjoin.evaluate_hashjoin` sums adjuncts.
-    """
-    merged: Dict[HeadTuple, _Annotation] = {}
-    for adjunct in adjuncts:
-        for head, annotation in table[adjunct].items():
-            bucket = merged.get(head)
-            if bucket is None:
-                merged[head] = dict(annotation)
-                continue
-            for monomial, coefficient in annotation.items():
-                bucket[monomial] = bucket.get(monomial, 0) + coefficient
-    return merged
-
-
 class _WorkerLog:
     """The parent's accumulated replica of one worker intern table.
 
@@ -433,8 +359,6 @@ class ShardedExecutor:
     ``mode`` is ``"process"`` (true parallelism, shared-memory or
     pickled payloads) or ``"thread"`` (shared payload, cheap start-up —
     the fallback used automatically when process pools cannot start).
-    ``columnar`` selects the flat-column result path (default) or the
-    legacy dict-of-dicts path.
     """
 
     def __init__(
@@ -444,12 +368,11 @@ class ShardedExecutor:
         workers: Optional[int] = None,
         mode: str = "process",
         broadcast_threshold: Optional[int] = None,
-        columnar: bool = True,
     ):  # noqa: D107
-        if mode not in _EXECUTOR_MODES:
+        if mode not in EXECUTOR_MODES:
             raise EvaluationError(
                 "unknown executor mode {!r}; supported: {}".format(
-                    mode, ", ".join(_EXECUTOR_MODES)
+                    mode, ", ".join(EXECUTOR_MODES)
                 )
             )
         shards = DEFAULT_SHARDS if shards is None else shards
@@ -463,7 +386,6 @@ class ShardedExecutor:
             else max(1, workers)
         )
         self._mode = mode
-        self._columnar = bool(columnar)
         self._pool = None
         self._pool_epoch: Optional[int] = None
         self._shm = None
@@ -491,11 +413,6 @@ class ShardedExecutor:
     def mode(self) -> str:
         """The currently effective execution mode."""
         return self._mode
-
-    @property
-    def columnar(self) -> bool:
-        """Whether results travel as flat columns (vs legacy dicts)."""
-        return self._columnar
 
     def refresh(self) -> bool:
         """Re-sync partitioning with the database; True when it changed."""
@@ -559,21 +476,20 @@ class ShardedExecutor:
             try:
                 # The span covers snapshotting the payload and starting
                 # the pool — the "ship" cost a new epoch pays before any
-                # worker computes.  Columnar payloads are encoded once
-                # into a shared-memory segment every worker maps;
-                # otherwise (or when no segment can be created) initargs
-                # pickle the payload per worker as the processes spawn.
+                # worker computes.  The payload is encoded once into a
+                # shared-memory segment every worker maps; when no
+                # segment can be created, initargs pickle the payload
+                # per worker as the processes spawn.
                 with current_tracer().span(
                     "shard.ship", workers=self._workers
                 ) as span:
                     payload = self._sharded.payload()
                     span.set(facts=payload.fact_count())
-                    initializer, initargs = _init_worker, (payload,)
-                    if self._columnar:
-                        shm = self._create_segment(payload, span)
-                        if shm is not None:
-                            initializer, initargs = _init_worker_shm, (shm.name,)
-                    if shm is None:
+                    shm = self._create_segment(payload, span)
+                    if shm is not None:
+                        initializer, initargs = _init_worker_shm, (shm.name,)
+                    else:
+                        initializer, initargs = _init_worker, (payload,)
                         span.set(transport="pickle")
                     self._adopt_pool(
                         concurrent.futures.ProcessPoolExecutor(
@@ -616,20 +532,11 @@ class ShardedExecutor:
     def _submit(self, pool, kind: str, args, intern):
         if self._mode == "process":
             if kind == "plan":
-                worker = (
-                    _run_plan_columnar_in_worker
-                    if self._columnar
-                    else _run_plan_in_worker
-                )
-                return pool.submit(worker, *args)
+                return pool.submit(_run_plan_in_worker, *args)
             return pool.submit(_run_aggregate_in_worker, *args)
         payload = self._sharded.payload()
         if kind == "plan":
-            if self._columnar:
-                return pool.submit(
-                    _run_plan_columnar_local, payload, *args, intern
-                )
-            return pool.submit(_run_plan, payload, *args)
+            return pool.submit(_run_plan_local, payload, *args, intern)
         return pool.submit(_run_aggregate, payload, *args)
 
     def _run_tasks(
@@ -654,8 +561,8 @@ class ShardedExecutor:
             ]
             return [future.result() for future in futures]
 
-    # -- columnar ingestion ---------------------------------------------
-    def _ingest_columnar(
+    # -- result ingestion -----------------------------------------------
+    def _ingest(
         self, outputs: Sequence[_ColumnarShard], intern: InternTable
     ) -> List[ColumnarTable]:
         """Splice worker intern exports and remap result columns.
@@ -690,15 +597,14 @@ class ShardedExecutor:
         adjuncts: Sequence[ConjunctiveQuery],
         intern: InternTable,
         cache: Optional[PlanCache] = None,
-    ) -> Dict[ConjunctiveQuery, object]:
+    ) -> Dict[ConjunctiveQuery, ColumnarTable]:
         """Evaluate distinct adjuncts, merged into ``intern``'s ids.
 
         All (adjunct × shard) tasks of the batch are submitted in one
         wave, so a batch of small queries still fills every worker.
         Plans without a partitioned anchor run on shard 0 only.
-        Returns ``{adjunct: ColumnarTable}`` on the columnar path and
-        ``{adjunct: {head: {mid: coeff}}}`` on the legacy path — both
-        are accepted by :func:`~repro.algebra.columnar.decode_polynomials`.
+        Returns ``{adjunct: ColumnarTable}``, which
+        :func:`~repro.algebra.columnar.decode_polynomials` decodes.
         """
         tracer = current_tracer()
         with tracer.span("shard.refresh"):
@@ -722,34 +628,20 @@ class ShardedExecutor:
             engine="sharded",
             shards=self._sharded.shard_count,
             tasks=len(task_args),
-            columnar=self._columnar,
         ) as fanout:
             outputs = self._run_tasks("plan", task_args, intern)
             fanout.set(mode=self._mode)  # after any fallback flip
-        merged: Dict[ConjunctiveQuery, object] = {}
+        merged: Dict[ConjunctiveQuery, ColumnarTable] = {}
         with tracer.span("shard.merge", adjuncts=len(unique)) as merge_span:
-            if self._columnar:
-                tables = self._ingest_columnar(outputs, intern)
-                for adjunct, (start, count) in zip(unique, spans):
-                    merged[adjunct] = ColumnarTable.concat(
-                        tables[start:start + count]
-                    )
-                merge_span.set(
-                    tuples=sum(
-                        table.tuple_count() for table in merged.values()
-                    ),
-                    pairs=sum(
-                        table.pair_count() for table in merged.values()
-                    ),
+            tables = self._ingest(outputs, intern)
+            for adjunct, (start, count) in zip(unique, spans):
+                merged[adjunct] = ColumnarTable.concat(
+                    tables[start:start + count]
                 )
-            else:
-                for adjunct, (start, count) in zip(unique, spans):
-                    merged[adjunct] = _merge_shard_results(
-                        intern, outputs[start:start + count]
-                    )
-                merge_span.set(
-                    tuples=sum(len(table) for table in merged.values())
-                )
+            merge_span.set(
+                tuples=sum(table.tuple_count() for table in merged.values()),
+                pairs=sum(table.pair_count() for table in merged.values()),
+            )
         return merged
 
     def evaluate(
@@ -827,7 +719,6 @@ def evaluate_sharded(
     cache: Optional[PlanCache] = None,
     intern: Optional[InternTable] = None,
     executor: Optional[ShardedExecutor] = None,
-    columnar: bool = True,
 ) -> Dict[HeadTuple, Polynomial]:
     """Evaluate one query shard-parallel, returning Def. 2.12 polynomials.
 
@@ -853,7 +744,6 @@ def evaluate_sharded(
             workers=workers,
             mode=mode,
             broadcast_threshold=broadcast_threshold,
-            columnar=columnar,
         )
     try:
         return executor.evaluate(query, cache=cache, intern=intern)
@@ -871,7 +761,6 @@ def evaluate_aggregate_sharded(
     broadcast_threshold: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     executor: Optional[ShardedExecutor] = None,
-    columnar: bool = True,
 ):
     """Evaluate an aggregate query shard-parallel (semimodule results).
 
@@ -892,7 +781,6 @@ def evaluate_aggregate_sharded(
             workers=workers,
             mode=mode,
             broadcast_threshold=broadcast_threshold,
-            columnar=columnar,
         )
     try:
         return executor.evaluate_aggregate(query, cache=cache)

@@ -24,7 +24,7 @@ symbol standing for its polynomial over the previous layers, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.aggregate.evaluate import evaluate_aggregate
 from repro.aggregate.result import AggregateAccumulator, AggregateResult
@@ -118,18 +118,9 @@ class ViewRegistry:
         program: Mapping[str, AnyQuery],
         db: AnnotatedDatabase,
         symbol_prefix: str = "w",
-        config: Optional[EngineConfig] = None,
-        engine: Optional[str] = None,
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
+        config: Union[EngineConfig, str, None] = None,
     ):  # noqa: D107
-        config = resolve_engine_config(
-            config,
-            "ViewRegistry",
-            engine=engine,
-            shards=shards,
-            workers=workers,
-        )
+        config = resolve_engine_config(config, "ViewRegistry")
         if config.engine not in ("hashjoin", "sharded"):
             raise EvaluationError(
                 "unknown registry engine {!r}; supported: hashjoin, "

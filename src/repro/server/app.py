@@ -35,7 +35,7 @@ import threading
 from concurrent.futures import Future
 from functools import partial
 from http.server import ThreadingHTTPServer
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algebra.intern import InternRemapper
 from repro.config import EngineConfig, resolve_engine_config
@@ -72,6 +72,10 @@ from repro.session import QuerySession
 
 #: Engines the server can front (the session engines, by construction).
 SERVER_ENGINES = ("hashjoin", "sharded")
+
+#: Front ends :func:`make_server` can bind: the asyncio event loop or
+#: the one-thread-per-connection :class:`http.server.ThreadingHTTPServer`.
+SERVER_MODES = ("async", "threaded")
 
 #: Default LRU bound of the result cache.
 DEFAULT_CACHE_SIZE = 256
@@ -132,34 +136,28 @@ class ServerState:
         self,
         db,
         program: Optional[Mapping[str, AnyQuery]] = None,
-        config: Optional[EngineConfig] = None,
-        engine: Optional[str] = None,
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
+        config: Union[EngineConfig, str, None] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        broadcast_threshold: Optional[int] = None,
         metrics: bool = True,
         data_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
         max_subscriptions: Optional[int] = None,
         ring_size: Optional[int] = None,
     ):  # noqa: D107
-        config = resolve_engine_config(
-            config,
-            "ServerState",
-            engine=engine,
-            shards=shards,
-            workers=workers,
-            broadcast_threshold=broadcast_threshold,
-        )
+        config = resolve_engine_config(config, "ServerState")
         if config.engine not in SERVER_ENGINES:
             raise EvaluationError(
                 "unknown server engine {!r}; supported: {}".format(
                     config.engine, ", ".join(SERVER_ENGINES)
                 )
             )
-        if data_dir is not None:
-            config = config.with_overrides(data_dir=data_dir)
+        if data_dir is not None and (
+            not isinstance(data_dir, str) or not data_dir
+        ):
+            raise EvaluationError(
+                "ServerState: data_dir must be a non-empty path or None, "
+                "got {!r}".format(data_dir)
+            )
         # The database mutates under ``/update`` while the session stays
         # warm, so serving always runs thread-mode pools.
         config = config.with_overrides(mode="thread")
@@ -173,11 +171,11 @@ class ServerState:
         self._metrics = MetricsRegistry() if metrics else NULL_REGISTRY
         self._store: Optional[DurableStore] = None
         self._recovery: Optional[RecoveredState] = None
-        if config.data_dir is not None:
+        if data_dir is not None:
             store_kwargs = {"metrics": self._metrics}
             if snapshot_every is not None:
                 store_kwargs["snapshot_every"] = snapshot_every
-            self._store = DurableStore(config.data_dir, **store_kwargs)
+            self._store = DurableStore(data_dir, **store_kwargs)
         self._registry: Optional[ViewRegistry] = None
         self._db = db
         if self._store is not None and self._store.has_state():
@@ -817,18 +815,14 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 0,
     program: Optional[Mapping[str, AnyQuery]] = None,
-    config: Optional[EngineConfig] = None,
-    engine: Optional[str] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
+    config: Union[EngineConfig, str, None] = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
-    broadcast_threshold: Optional[int] = None,
     metrics: bool = True,
     data_dir: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     max_subscriptions: Optional[int] = None,
     ring_size: Optional[int] = None,
-    server_mode: Optional[str] = None,
+    server_mode: str = "threaded",
     request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     idle_timeout: Optional[float] = None,
     max_pending: Optional[int] = None,
@@ -837,10 +831,10 @@ def make_server(
     """Bind a ready-to-run server (``port=0`` picks a free port).
 
     ``config`` is an :class:`~repro.config.EngineConfig` (or bare engine
-    name); the scattered ``engine=``/``shards=``/``workers=`` keywords
-    are deprecated shims over it.  ``server_mode`` (or
-    ``config.server_mode``) picks the front end: ``"threaded"`` returns
-    the classic :class:`ProvenanceServer`, ``"async"`` an
+    name) for the serving session; ``data_dir`` and the other keywords
+    up to ``ring_size`` go to :class:`ServerState`.  ``server_mode``
+    picks the front end: ``"threaded"`` returns the classic
+    :class:`ProvenanceServer`, ``"async"`` an
     :class:`~repro.server.aio.AsyncProvenanceServer` — both expose the
     same blocking facade (``server_address``, ``serve_forever()``,
     ``shutdown()``, ``close()``), so callers and tests treat them
@@ -860,25 +854,17 @@ def make_server(
     The caller owns the lifecycle: ``serve_forever()`` on a thread (or
     the CLI's foreground loop), then ``close()``.
     """
-    if server_mode is not None:
-        # Overlay onto the config *before* ServerState resolves it, so
-        # state.config reflects the mode actually serving (and the
-        # overlay goes through EngineConfig validation).
-        if config is None:
-            config = EngineConfig(server_mode=server_mode)
-        elif isinstance(config, str):
-            config = EngineConfig(engine=config, server_mode=server_mode)
-        else:
-            config = config.with_overrides(server_mode=server_mode)
+    if server_mode not in SERVER_MODES:
+        raise EvaluationError(
+            "make_server: server_mode must be one of {}; got {!r}".format(
+                ", ".join(SERVER_MODES), server_mode
+            )
+        )
     state = ServerState(
         db,
         program=program,
         config=config,
-        engine=engine,
-        shards=shards,
-        workers=workers,
         cache_size=cache_size,
-        broadcast_threshold=broadcast_threshold,
         metrics=metrics,
         data_dir=data_dir,
         snapshot_every=snapshot_every,
@@ -886,7 +872,7 @@ def make_server(
         ring_size=ring_size,
     )
     try:
-        if state.config.server_mode == "async":
+        if server_mode == "async":
             # Imported lazily: aio imports this module for ServerState.
             from repro.server.aio import AsyncProvenanceServer
 

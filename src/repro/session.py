@@ -72,23 +72,11 @@ class QuerySession:
     def __init__(
         self,
         db: AnnotatedDatabase,
-        config: Optional[EngineConfig] = None,
-        engine: Optional[str] = None,
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        broadcast_threshold: Optional[int] = None,
+        config: Union[EngineConfig, str, None] = None,
         plan_cache: Optional[PlanCache] = None,
     ):  # noqa: D107
         config = resolve_engine_config(
-            config,
-            "QuerySession",
-            default=EngineConfig(engine="sharded"),
-            engine=engine,
-            shards=shards,
-            workers=workers,
-            mode=mode,
-            broadcast_threshold=broadcast_threshold,
+            config, "QuerySession", default=EngineConfig(engine="sharded")
         )
         if config.engine not in SESSION_ENGINES:
             raise EvaluationError(
@@ -112,7 +100,6 @@ class QuerySession:
                 workers=config.workers,
                 mode=config.mode,
                 broadcast_threshold=config.broadcast_threshold,
-                columnar=config.columnar,
             )
         self._version = db.version()
         # Reentrant so a writer can bundle a database mutation with the

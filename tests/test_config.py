@@ -1,18 +1,20 @@
-"""The EngineConfig facade: validation, shims, and `repro.connect`.
+"""The EngineConfig facade: validation, the one spelling, `repro.connect`.
 
-Every public entry point accepts one :class:`repro.EngineConfig`; the
-old scattered ``engine=``/``shards=``/``workers=`` keywords must keep
-working but warn.  These tests pin the facade contract: shim calls and
-config calls produce identical results, and the deprecation warnings
-actually fire.
+Every public entry point accepts one :class:`repro.EngineConfig` (or a
+bare engine name) and nothing else to say how to evaluate.  These tests
+pin that contract: the config holds exactly the five evaluation fields,
+the keyword spellings removed in 1.7.0 are rejected outright, and the
+serving keywords that replaced config fields validate their input.
 """
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
 import repro
 from repro import EngineConfig, connect
+from repro.cli import build_parser
 from repro.config import resolve_engine_config
 from repro.db.instance import AnnotatedDatabase
 from repro.engine.evaluate import evaluate, provenance
@@ -20,7 +22,7 @@ from repro.aggregate.evaluate import evaluate_aggregate
 from repro.errors import EvaluationError
 from repro.incremental.registry import ViewRegistry
 from repro.query.parser import parse_program, parse_query
-from repro.server.app import ServerState
+from repro.server.app import ServerState, make_server
 from repro.session import QuerySession
 
 
@@ -35,6 +37,7 @@ def small_db():
 
 QUERY = parse_query("ans(x, z) :- R(x, y), S(y, z)")
 AGG_QUERY = parse_query("ans(x, count(*)) :- R(x, y), S(y, z)")
+PROGRAM = parse_program("V(x, z) :- R(x, y), S(y, z)")
 
 
 class TestEngineConfigValidation:
@@ -43,9 +46,16 @@ class TestEngineConfigValidation:
         assert config.engine == "hashjoin"
         assert config.shards is None and config.workers is None
         assert config.mode == "process"
-        assert config.columnar is True
-        assert config.data_dir is None
-        assert config.server_mode == "threaded"
+        assert config.broadcast_threshold is None
+
+    def test_exactly_the_five_evaluation_fields(self):
+        assert {field.name for field in fields(EngineConfig)} == {
+            "engine",
+            "shards",
+            "workers",
+            "mode",
+            "broadcast_threshold",
+        }
 
     def test_frozen_and_hashable(self):
         config = EngineConfig(engine="sharded", shards=2)
@@ -53,8 +63,8 @@ class TestEngineConfigValidation:
             config.shards = 4
         assert config == EngineConfig(engine="sharded", shards=2)
         assert hash(config) == hash(EngineConfig(engine="sharded", shards=2))
-        # columnar participates in identity (it changes the result path)
-        assert config != config.with_overrides(columnar=False)
+        # every field participates in identity (the result cache keys on it)
+        assert config != config.with_overrides(mode="thread")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,11 +80,11 @@ class TestEngineConfigValidation:
             {"workers": False},
             {"broadcast_threshold": -1},
             {"broadcast_threshold": True},
-            {"data_dir": ""},
-            {"data_dir": 7},
-            {"server_mode": "greenlet"},
-            {"server_mode": 7},
-            {"server_mode": ""},
+            {"mode": ""},
+            {"mode": 7},
+            {"shards": "2"},
+            {"workers": -3},
+            {"broadcast_threshold": 2.5},
         ],
     )
     def test_invalid_fields_raise(self, kwargs):
@@ -98,110 +108,98 @@ class TestResolveEngineConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = resolve_engine_config("backtrack", "caller")
-        assert config.engine == "backtrack"
+        assert config == EngineConfig(engine="backtrack")
+
+    def test_none_is_the_default(self):
+        default = EngineConfig(engine="sharded", shards=3)
+        assert resolve_engine_config(None, "caller") == EngineConfig()
+        assert resolve_engine_config(None, "caller", default=default) is default
+        assert resolve_engine_config("hashjoin", "caller", default=default) == (
+            default.with_overrides(engine="hashjoin")
+        )
 
     def test_config_taken_verbatim(self):
         mine = EngineConfig(engine="sharded", shards=7, mode="thread")
         default = EngineConfig(engine="hashjoin", shards=1)
         assert resolve_engine_config(mine, "caller", default=default) is mine
 
-    def test_legacy_kwargs_warn_once_and_overlay(self):
-        with pytest.warns(DeprecationWarning, match="caller: the .* deprecated"):
-            config = resolve_engine_config(
-                None, "caller", engine="sharded", shards=2, workers=None
-            )
-        assert config.engine == "sharded"
-        assert config.shards == 2
-        assert config.workers is None
-
     def test_bad_config_type(self):
         with pytest.raises(EvaluationError, match="EngineConfig or an engine"):
             resolve_engine_config(42, "caller")
 
 
-class TestShimEquivalence:
-    """Old keyword call sites == new config call sites, plus a warning."""
+#: Each public entry point, called with everything but the config.
+ENTRY_POINTS = {
+    "evaluate": lambda **kw: evaluate(QUERY, small_db(), **kw),
+    "provenance": lambda **kw: provenance(QUERY, small_db(), ("a", "d"), **kw),
+    "evaluate_aggregate": lambda **kw: evaluate_aggregate(
+        AGG_QUERY, small_db(), **kw
+    ),
+    "ViewRegistry": lambda **kw: ViewRegistry(PROGRAM, small_db(), **kw),
+    "QuerySession": lambda **kw: QuerySession(small_db(), **kw),
+    "ServerState": lambda **kw: ServerState(small_db(), **kw),
+    "make_server": lambda **kw: make_server(small_db(), **kw),
+    "EngineConfig": lambda **kw: EngineConfig(**kw),
+}
 
-    def test_evaluate(self):
-        db = small_db()
-        via_config = evaluate(QUERY, db, EngineConfig(engine="backtrack"))
-        with pytest.warns(DeprecationWarning, match="evaluate:"):
-            via_shim = evaluate(QUERY, db, engine="backtrack")
-        assert via_shim == via_config
+#: The keyword spellings removed in 1.7.0, per entry point.
+REMOVED_KEYWORDS = {
+    "evaluate": ("engine", "shards", "workers"),
+    "provenance": ("engine", "shards", "workers"),
+    "evaluate_aggregate": ("engine", "shards", "workers"),
+    "ViewRegistry": ("engine", "shards", "workers"),
+    "QuerySession": (
+        "engine", "shards", "workers", "mode", "broadcast_threshold",
+    ),
+    "ServerState": ("engine", "shards", "workers", "broadcast_threshold"),
+    "make_server": ("engine", "shards", "workers", "broadcast_threshold"),
+    "EngineConfig": ("columnar", "data_dir", "server_mode"),
+}
 
-    def test_evaluate_sharded_kwargs(self):
-        db = small_db()
-        config = EngineConfig(
-            engine="sharded", shards=2, workers=2, mode="thread"
-        )
-        via_config = evaluate(QUERY, db, config)
-        with pytest.warns(DeprecationWarning):
-            via_shim = evaluate(
-                QUERY, db, engine="sharded", shards=2, workers=2
+#: A value each removed keyword used to accept.
+OLD_VALUES = {
+    "engine": "hashjoin",
+    "shards": 2,
+    "workers": 2,
+    "mode": "thread",
+    "broadcast_threshold": 0,
+    "columnar": False,
+    "data_dir": "state",
+    "server_mode": "async",
+}
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize(
+        "entry_point, keyword",
+        [
+            (entry_point, keyword)
+            for entry_point, keywords in REMOVED_KEYWORDS.items()
+            for keyword in keywords
+        ],
+    )
+    def test_removed_keyword_raises(self, entry_point, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            ENTRY_POINTS[entry_point](**{keyword: OLD_VALUES[keyword]})
+
+    def test_cli_no_columnar_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["eval", "-p", "p.dl", "-d", "d.json", "--no-columnar"]
             )
-        assert via_shim == via_config
 
-    def test_provenance(self):
-        db = small_db()
-        via_config = provenance(
-            QUERY, db, ("a", "d"), EngineConfig(engine="hashjoin")
-        )
-        with pytest.warns(DeprecationWarning, match="provenance:"):
-            via_shim = provenance(QUERY, db, ("a", "d"), engine="hashjoin")
-        assert via_shim == via_config
-        assert str(via_config) == "s1*s5 + s3*s4"
 
-    def test_evaluate_aggregate(self):
-        db = small_db()
-        via_config = evaluate_aggregate(
-            AGG_QUERY, db, EngineConfig(engine="hashjoin")
-        )
-        with pytest.warns(DeprecationWarning, match="evaluate_aggregate:"):
-            via_shim = evaluate_aggregate(AGG_QUERY, db, engine="hashjoin")
-        assert via_shim == via_config
+class TestServingKeywords:
+    @pytest.mark.parametrize("data_dir", ["", 7])
+    def test_bad_data_dir_is_rejected(self, data_dir):
+        with pytest.raises(EvaluationError, match="data_dir"):
+            ServerState(small_db(), data_dir=data_dir)
 
-    def test_query_session(self):
-        db = small_db()
-        config = EngineConfig(
-            engine="sharded", shards=2, workers=2, mode="thread"
-        )
-        with QuerySession(db, config) as session:
-            via_config = session.evaluate(QUERY)
-            assert session.config == config
-        with pytest.warns(DeprecationWarning, match="QuerySession:"):
-            session = QuerySession(
-                db, engine="sharded", shards=2, workers=2, mode="thread"
-            )
-        with session:
-            via_shim = session.evaluate(QUERY)
-            assert session.config == config
-        assert via_shim == via_config
-
-    def test_view_registry(self):
-        program = parse_program("V(x, z) :- R(x, y), S(y, z)")
-        via_config = ViewRegistry(
-            program, small_db(), config=EngineConfig(engine="hashjoin")
-        )
-        with pytest.warns(DeprecationWarning, match="ViewRegistry:"):
-            via_shim = ViewRegistry(program, small_db(), engine="hashjoin")
-        assert via_shim.config == via_config.config
-        assert via_shim.view("V") == via_config.view("V")
-        via_shim.close()
-        via_config.close()
-
-    def test_server_state(self):
-        config = EngineConfig(engine="hashjoin")
+    def test_server_state_forces_thread_pools(self):
+        config = EngineConfig(engine="sharded", mode="process")
         with ServerState(small_db(), config=config) as state:
-            assert state.config.engine == "hashjoin"
-            # the serving tier always runs thread pools (it mutates the
-            # db in place on /update)
-            assert state.config.mode == "thread"
-            via_config = state.run_query("ans(x, z) :- R(x, y), S(y, z)")
-        with pytest.warns(DeprecationWarning, match="ServerState:"):
-            state = ServerState(small_db(), engine="hashjoin")
-        with state:
-            via_shim = state.run_query("ans(x, z) :- R(x, y), S(y, z)")
-        assert via_shim == via_config
+            # /update mutates the db in place, so serving runs thread pools
+            assert state.config == config.with_overrides(mode="thread")
 
 
 class TestConnect:

@@ -418,15 +418,6 @@ class TestServerDurability:
             assert state.read_view("V") == view
             assert state.run_query("ans(x) :- W(x)") == query
 
-    def test_config_data_dir_equivalent_to_kwarg(self, tmp_path):
-        config = EngineConfig(engine="hashjoin", data_dir=str(tmp_path))
-        with ServerState(small_db(), config=config) as state:
-            assert state.store is not None
-            state.apply_update(UPDATE)
-        with ServerState(small_db(), config=config) as state:
-            assert state.recovery is not None
-            assert state.recovery.replayed == 1
-
     def test_rotation_threshold_respected(self, tmp_path):
         with self.boot(tmp_path, snapshot_every=1) as state:
             state.apply_update(UPDATE)

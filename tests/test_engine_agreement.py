@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.aggregate import evaluate_aggregate
+from repro.config import EngineConfig
 from repro.db.generators import (
     all_databases,
     chain_query,
@@ -50,12 +51,12 @@ def assert_engines_agree(query, db):
 
 def assert_aggregate_engines_agree(query, db):
     """Backtracking ≡ SQLite ≡ hash join, tensor for tensor."""
-    reference = evaluate_aggregate(query, db, engine="backtrack")
+    reference = evaluate_aggregate(query, db, "backtrack")
     store = SQLiteDatabase.from_annotated(db)
     via_sql = store.evaluate_aggregate(query)
     store.close()
     assert reference == via_sql
-    assert reference == evaluate_aggregate(query, db, engine="hashjoin")
+    assert reference == evaluate_aggregate(query, db, "hashjoin")
 
 
 class TestPaperInstances:
@@ -231,8 +232,8 @@ class TestCrossShardDifferential:
 
     @classmethod
     def _assert_aggregate_shards_agree(cls, query, db, seed):
-        reference = evaluate_aggregate(query, db, engine="backtrack")
-        assert evaluate_aggregate(query, db, engine="hashjoin") == reference
+        reference = evaluate_aggregate(query, db, "backtrack")
+        assert evaluate_aggregate(query, db, "hashjoin") == reference
         for shards in cls.SHARD_COUNTS:
             sharded = evaluate_aggregate_sharded(
                 query,
@@ -324,14 +325,16 @@ class TestAggregates:
 
 
 class TestColumnarVsDictDifferential:
-    """The columnar result path against the legacy dict merge.
+    """The sharded engine's one result path, reached through the config.
 
-    The flat-column kernels (``ColumnarTable`` + vectorized counter-
-    merge + lazy decode) and the dict-of-dicts path are two full
-    implementations of the same shard-merge algebra; over the 60-seed
-    sweep they must be polynomial-identical to each other and to the
-    serial engines at every shard count — and tensor-identical on
-    aggregates.
+    Named for the dict-of-dicts merge it was once held equal to; that
+    path is gone, and the flat-column kernels (``ColumnarTable`` +
+    vectorized counter-merge + lazy decode) are the only shard merge
+    left.  Where the cross-shard suite calls the executor directly,
+    this one goes through ``evaluate``/``evaluate_aggregate`` with an
+    :class:`~repro.EngineConfig`, the spelling every caller uses: over
+    the 60-seed sweep it must be polynomial-identical to backtracking
+    at every shard count, and tensor-identical on aggregates.
     """
 
     SEEDS = range(60)
@@ -341,43 +344,32 @@ class TestColumnarVsDictDifferential:
     _threshold = staticmethod(TestCrossShardDifferential._threshold)
 
     @classmethod
-    def _assert_columnar_matches_dict(cls, query, db, seed):
-        reference = evaluate_backtracking(query, db)
-        assert evaluate_hashjoin(query, db) == reference
-        for shards in cls.SHARD_COUNTS:
-            by_path = {}
-            for columnar in (True, False):
-                by_path[columnar] = evaluate_sharded(
-                    query,
-                    db,
-                    shards=shards,
-                    workers=WORKERS,
-                    mode="thread",
-                    broadcast_threshold=cls._threshold(seed),
-                    columnar=columnar,
-                )
-                assert by_path[columnar] == reference, (
-                    "columnar={} diverged at {} shards".format(columnar, shards)
-                )
-            assert by_path[True] == by_path[False]
+    def _config(cls, shards, seed):
+        return EngineConfig(
+            engine="sharded",
+            shards=shards,
+            workers=WORKERS,
+            mode="thread",
+            broadcast_threshold=cls._threshold(seed),
+        )
 
     @classmethod
-    def _assert_aggregate_columnar_matches_dict(cls, query, db, seed):
+    def _assert_matches_backtracking(cls, query, db, seed):
+        reference = evaluate_backtracking(query, db)
+        for shards in cls.SHARD_COUNTS:
+            sharded = evaluate(query, db, cls._config(shards, seed))
+            assert sharded == reference, (
+                "diverged at {} shards".format(shards)
+            )
+
+    @classmethod
+    def _assert_aggregate_matches_backtracking(cls, query, db, seed):
         reference = evaluate_aggregate(query, db, "backtrack")
         for shards in cls.SHARD_COUNTS:
-            for columnar in (True, False):
-                sharded = evaluate_aggregate_sharded(
-                    query,
-                    db,
-                    shards=shards,
-                    workers=WORKERS,
-                    mode="thread",
-                    broadcast_threshold=cls._threshold(seed),
-                    columnar=columnar,
-                )
-                assert sharded == reference, (
-                    "columnar={} diverged at {} shards".format(columnar, shards)
-                )
+            sharded = evaluate_aggregate(query, db, cls._config(shards, seed))
+            assert sharded == reference, (
+                "diverged at {} shards".format(shards)
+            )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conjunctive_queries(self, seed):
@@ -389,7 +381,7 @@ class TestColumnarVsDictDifferential:
             head_arity=1 + seed % 2,
             diseq_probability=(seed % 4) * 0.25,
         )
-        self._assert_columnar_matches_dict(query, self._database(seed), seed)
+        self._assert_matches_backtracking(query, self._database(seed), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_unions(self, seed):
@@ -401,7 +393,7 @@ class TestColumnarVsDictDifferential:
             relations=TestCrossShardDifferential.RELATIONS,
             diseq_probability=0.3 if seed % 2 else 0.0,
         )
-        self._assert_columnar_matches_dict(query, self._database(seed), seed)
+        self._assert_matches_backtracking(query, self._database(seed), seed)
 
     @pytest.mark.parametrize("seed", range(0, 60, 4))
     def test_aggregates(self, seed):
@@ -413,6 +405,6 @@ class TestColumnarVsDictDifferential:
             n_facts=5 + seed % 8,
             seed=seed,
         )
-        self._assert_aggregate_columnar_matches_dict(
+        self._assert_aggregate_matches_backtracking(
             parse_query(text), db, seed
         )

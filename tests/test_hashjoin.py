@@ -8,6 +8,7 @@ from repro.db.generators import (
     cycle_query,
     random_database,
     star_query,
+    uniform_binary_database,
 )
 from repro.db.instance import AnnotatedDatabase
 from repro.engine.evaluate import evaluate, evaluate_backtracking
@@ -19,7 +20,7 @@ from repro.engine.hashjoin import (
     evaluate_hashjoin,
     plan_for,
 )
-from repro.engine.plan_cache import PlanCache, cardinality_band
+from repro.engine.plan_cache import PlanCache, cardinality_band, greedy_order
 from repro.errors import EvaluationError
 from repro.incremental.delta import Delta
 from repro.incremental.maintain import check_consistency
@@ -162,7 +163,7 @@ class TestHashJoinEngine:
     def test_unknown_engine_name_rejected(self):
         db = AnnotatedDatabase.from_rows({"R": [("a", "b")]})
         with pytest.raises(EvaluationError):
-            evaluate(parse_query("ans(x) :- R(x, y)"), db, engine="quantum")
+            evaluate(parse_query("ans(x) :- R(x, y)"), db, "quantum")
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +241,55 @@ class TestPlanCache:
         evaluate_hashjoin(query, db)
         stats = default_plan_cache().stats()
         assert stats["hits"] >= 1 and stats["misses"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Greedy join ordering (the heuristic the compiler plans with)
+# ----------------------------------------------------------------------
+def ordered_relations(query, db):
+    """The relation of each atom of ``query`` in greedy join order."""
+    cardinalities = {
+        relation: db.cardinality(relation) for relation in query.relations()
+    }
+    order = greedy_order(query.atoms, cardinalities)
+    return [query.atoms[index].relation for index in order], order
+
+
+class TestGreedyOrder:
+    def test_connected_atom_follows_binding(self):
+        db = AnnotatedDatabase.from_rows(
+            {"Big": [("a", str(i)) for i in range(20)], "Small": [("a",)]}
+        )
+        query = parse_query("ans(x) :- Big(x, y), Small(x)")
+        relations, _ = ordered_relations(query, db)
+        # The small relation should be scanned first.
+        assert relations[0] == "Small"
+        # A bound variable outranks a smaller, disconnected relation.
+        db = AnnotatedDatabase.from_rows(
+            {
+                "A": [(str(i), "b") for i in range(5)],
+                "B": [("b",)],
+                "C": [("c",), ("d",)],
+            }
+        )
+        query = parse_query("ans(x) :- A(x, y), B(y), C(z)")
+        assert ordered_relations(query, db)[0] == ["B", "A", "C"]
+
+    def test_cartesian_product_deferred(self):
+        db = AnnotatedDatabase.from_rows(
+            {"R": [("a", "b")], "S": [(str(i),) for i in range(10)]}
+        )
+        query = parse_query("ans(x) :- S(z), R(x, y), R(y, x)")
+        relations, _ = ordered_relations(query, db)
+        # After R(x,y) is chosen, R(y,x) shares variables and should
+        # precede the disconnected S(z).
+        assert relations.index("S") == 2
+
+    def test_order_is_a_permutation(self):
+        db = uniform_binary_database(4, density=0.6, seed=2)
+        query = chain_query(3)
+        _, order = ordered_relations(query, db)
+        assert sorted(order) == list(range(len(query.atoms)))
 
 
 # ----------------------------------------------------------------------

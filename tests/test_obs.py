@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.db.instance import AnnotatedDatabase
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -380,7 +381,7 @@ class TestNullPath:
         spy = SpyTracer("spy")
         token = trace_module._ACTIVE.set(spy)
         try:
-            with QuerySession(db, engine="hashjoin") as session:
+            with QuerySession(db, "hashjoin") as session:
                 session.evaluate_batch([JOIN])
         finally:
             trace_module._ACTIVE.reset(token)
@@ -392,7 +393,7 @@ class TestNullPath:
 class TestEngineSpanTrees:
     def test_hashjoin_stage_names(self):
         with tracing("query") as tracer:
-            with QuerySession(join_db(), engine="hashjoin") as session:
+            with QuerySession(join_db(), "hashjoin") as session:
                 session.evaluate_batch([JOIN])
         names = tree_stage_names(tracer.tree())
         for want in ("plan", "join", "join.step", "merge"):
@@ -401,7 +402,7 @@ class TestEngineSpanTrees:
 
     def test_hashjoin_plan_cache_attrs(self):
         with tracing("query") as tracer:
-            with QuerySession(join_db(), engine="hashjoin") as session:
+            with QuerySession(join_db(), "hashjoin") as session:
                 session.evaluate_batch([JOIN])
                 session.refresh()  # drop the memo, keep the plan cache
                 session.evaluate_batch([JOIN])
@@ -414,7 +415,7 @@ class TestEngineSpanTrees:
 
     def test_join_step_attrs_carry_rows_and_bindings(self):
         with tracing("query") as tracer:
-            with QuerySession(join_db(), engine="hashjoin") as session:
+            with QuerySession(join_db(), "hashjoin") as session:
                 session.evaluate_batch([JOIN])
         steps = [
             span for span in tracer.root.walk() if span.name == "join.step"
@@ -425,8 +426,11 @@ class TestEngineSpanTrees:
     def test_sharded_stage_names(self):
         with tracing("query") as tracer:
             with QuerySession(
-                join_db(), engine="sharded", shards=2, workers=2,
-                mode="thread", broadcast_threshold=0,
+                join_db(),
+                EngineConfig(
+                    engine="sharded", shards=2, workers=2, mode="thread",
+                    broadcast_threshold=0,
+                ),
             ) as session:
                 session.evaluate_batch([JOIN])
         names = tree_stage_names(tracer.tree())
@@ -441,7 +445,7 @@ class TestEngineSpanTrees:
 
     def test_aggregate_stage_names(self):
         with tracing("query") as tracer:
-            with QuerySession(join_db(), engine="hashjoin") as session:
+            with QuerySession(join_db(), "hashjoin") as session:
                 session.evaluate_batch([AGG])
         names = tree_stage_names(tracer.tree())
         for want in ("join", "aggregate.fold"):
@@ -449,10 +453,10 @@ class TestEngineSpanTrees:
 
     def test_tracing_leaves_results_identical(self):
         db = join_db()
-        with QuerySession(db, engine="hashjoin") as session:
+        with QuerySession(db, "hashjoin") as session:
             plain = session.evaluate_batch([JOIN])[0]
         with tracing("query"):
-            with QuerySession(db, engine="hashjoin") as session:
+            with QuerySession(db, "hashjoin") as session:
                 traced = session.evaluate_batch([JOIN])[0]
         assert traced == plain
 

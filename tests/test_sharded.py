@@ -3,7 +3,7 @@
 Covers the partitioning layer (:mod:`repro.db.sharding`), the sharded
 executor and its process/thread backends
 (:mod:`repro.engine.sharded`), the intern-table merge
-(:meth:`InternTable.remapper`), the batched
+(:class:`~repro.algebra.intern.InternRemapper`), the batched
 :class:`~repro.session.QuerySession`, and the sharded path through the
 incremental registry.  The cross-shard differential suite lives in
 ``test_engine_agreement.py``.
@@ -16,7 +16,8 @@ import pytest
 
 import repro.algebra.intern as intern_module
 import repro.engine.sharded as sharded_module
-from repro.algebra.intern import InternTable
+from repro.algebra.intern import InternRemapper, InternTable
+from repro.config import EngineConfig
 from repro.db.generators import random_database
 from repro.db.instance import AnnotatedDatabase
 from repro.db.sharding import (
@@ -42,6 +43,17 @@ from repro.session import QuerySession
 
 #: Worker-pool size for the suites; the CI ``parallel`` job pins it to 2.
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+
+
+def sharded_config(shards):
+    """A thread-mode sharded session config that partitions everything."""
+    return EngineConfig(
+        engine="sharded",
+        shards=shards,
+        workers=WORKERS,
+        mode="thread",
+        broadcast_threshold=0,
+    )
 
 #: A leaked process pool or shared-memory segment surfaces as a
 #: ResourceWarning at gc/interpreter-shutdown time; fail loudly instead
@@ -169,7 +181,7 @@ class TestShardedDatabase:
         sharded = ShardedDatabase(self._db(), 2, broadcast_threshold=0)
         assert "2 shards" in repr(sharded)
         assert "2 shards" in repr(sharded.payload())
-        with QuerySession(self._db(), engine="hashjoin") as session:
+        with QuerySession(self._db(), "hashjoin") as session:
             assert "engine=hashjoin" in repr(session)
 
 
@@ -238,7 +250,7 @@ class TestShardedEngine:
         query = parse_query(
             "agg(x, sum(v), min(v), count(*)) :- R(x, y), S(y, v)"
         )
-        reference = evaluate_aggregate(query, db, engine="backtrack")
+        reference = evaluate_aggregate(query, db, "backtrack")
         assert (
             evaluate_aggregate_sharded(
                 query,
@@ -252,7 +264,9 @@ class TestShardedEngine:
         )
         # And through the evaluate_aggregate dispatch (process default).
         assert (
-            evaluate_aggregate(query, db, engine="sharded", shards=2)
+            evaluate_aggregate(
+                query, db, EngineConfig(engine="sharded", shards=2)
+            )
             == reference
         )
 
@@ -267,14 +281,13 @@ class TestShardedEngine:
     def test_evaluate_dispatch_and_unknown_engine(self):
         db = AnnotatedDatabase.from_rows({"R": [("a", "b"), ("b", "c")]})
         query = parse_query("ans(x, z) :- R(x, y), R(y, z)")
-        assert evaluate(query, db, engine="sharded", shards=2, workers=1) == (
-            evaluate_backtracking(query, db)
-        )
+        config = EngineConfig(engine="sharded", shards=2, workers=1)
+        assert evaluate(query, db, config) == evaluate_backtracking(query, db)
         assert provenance(
-            query, db, ("a", "c"), engine="sharded", shards=2, workers=1
+            query, db, ("a", "c"), config
         ) == evaluate_backtracking(query, db)[("a", "c")]
         with pytest.raises(EvaluationError):
-            evaluate(query, db, engine="turbo")
+            evaluate(query, db, "turbo")
 
     def test_one_shot_calls_can_share_an_executor(self):
         db = random_database({"R": 2, "S": 2}, [0, 1, 2], 10, seed=4)
@@ -288,7 +301,7 @@ class TestShardedEngine:
             )
             assert evaluate_aggregate_sharded(
                 aggregate, db, executor=executor
-            ) == evaluate_aggregate(aggregate, db, engine="backtrack")
+            ) == evaluate_aggregate(aggregate, db, "backtrack")
             # The caller-supplied executor survives the one-shot calls.
             assert executor.evaluate(query)
 
@@ -305,7 +318,7 @@ class TestProcessPool:
         ) as executor:
             assert executor.evaluate(query) == evaluate_backtracking(query, db)
             assert executor.evaluate_aggregate(aggregate) == (
-                evaluate_aggregate(aggregate, db, engine="backtrack")
+                evaluate_aggregate(aggregate, db, "backtrack")
             )
             assert executor.mode == "process"
 
@@ -470,9 +483,45 @@ class TestInternMerge:
         target = InternTable()
         target.symbol_id("pre-existing")  # ids must not be assumed aligned
         local, ids = self._random_local_table(rng, symbols)
-        remap = target.remapper(*local.export_state())
+        remapper = InternRemapper(target)
+        remapper.extend(*local.export_state())
+        mapping = remapper.mapping()
         for monomial_id in ids:
-            assert str(target.monomial(remap(monomial_id))) == str(
+            assert str(target.monomial(mapping[monomial_id])) == str(
+                local.monomial(monomial_id)
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extend_in_two_slices_equals_one(self, seed):
+        """A worker's log arrives as contiguous deltas; splicing them
+        slice by slice must map exactly like one full export."""
+        rng = random.Random(500 + seed)
+        symbols = ["s{}".format(i) for i in range(6)]
+        local, first_ids = self._random_local_table(rng, symbols)
+        symbol_mark = local.sizes()["symbols"]
+        monomial_mark = local.sizes()["monomials"]
+        first_slice = local.export_range(0, 0)
+        later_ids = []
+        for _ in range(rng.randrange(1, 8)):
+            monomial = local.one
+            for _ in range(rng.randrange(1, 4)):
+                symbol = local.symbol_id("t{}".format(rng.randrange(4)))
+                monomial = local.times_symbol(monomial, symbol)
+            later_ids.append(monomial)
+        second_slice = local.export_range(symbol_mark, monomial_mark)
+
+        target = InternTable()
+        target.symbol_id("pre-existing")
+        sliced = InternRemapper(target)
+        sliced.extend(*first_slice)
+        assert sliced.mapped_monomials == monomial_mark
+        sliced.extend(*second_slice)
+        whole = InternRemapper(target)
+        whole.extend(*local.export_state())
+        assert sliced.mapped_symbols == whole.mapped_symbols
+        assert sliced.mapping() == whole.mapping()
+        for monomial_id in first_ids + later_ids:
+            assert str(target.monomial(sliced.mapping()[monomial_id])) == str(
                 local.monomial(monomial_id)
             )
 
@@ -495,9 +544,11 @@ class TestInternMerge:
             combined = {}
             for index in order:
                 local, annotation = shards[index]
-                remap = target.remapper(*local.export_state())
+                remapper = InternRemapper(target)
+                remapper.extend(*local.export_state())
+                mapping = remapper.mapping()
                 for monomial_id, coefficient in annotation.items():
-                    key = remap(monomial_id)
+                    key = mapping[monomial_id]
                     combined[key] = combined.get(key, 0) + coefficient
             return target.polynomial(combined)
 
@@ -511,24 +562,30 @@ class TestInternMerge:
     def test_merge_after_swap_stays_on_the_pinned_table(self, monkeypatch):
         """Regression: a shared-table swap mid-merge must not strand ids.
 
-        The remapper closure pins the table it was created on; forcing
-        :func:`shared_intern` to swap between remap calls must neither
-        corrupt the merge nor make decodes disagree.
+        A remapper pins the table it was created on; forcing
+        :func:`shared_intern` to swap between two extended slices must
+        neither corrupt the merge nor make decodes disagree.
         """
         pinned = intern_module.shared_intern()
         local = InternTable()
         first = local.times_symbol(local.one, local.symbol_id("alpha"))
+        remapper = InternRemapper(pinned)
+        remapper.extend(*local.export_range(0, 0))
         second = local.times_symbol(first, local.symbol_id("beta"))
-        remap = pinned.remapper(*local.export_state())
-        mapped_first = remap(first)
 
         monkeypatch.setattr(intern_module, "MAX_SHARED_ENTRIES", 0)
         swapped = intern_module.shared_intern()  # the swap happens here
         assert swapped is not pinned
 
-        mapped_second = remap(second)  # continues on the pinned table
-        assert str(pinned.monomial(mapped_first)) == "alpha"
-        assert str(pinned.monomial(mapped_second)) == "alpha*beta"
+        # The second slice continues on the pinned table.
+        remapper.extend(
+            *local.export_range(
+                remapper.mapped_symbols, remapper.mapped_monomials
+            )
+        )
+        mapping = remapper.mapping()
+        assert str(pinned.monomial(mapping[first])) == "alpha"
+        assert str(pinned.monomial(mapping[second])) == "alpha*beta"
         # The MAX_SHARED_ENTRIES bound still governs the shared table:
         # every oversized call starts another fresh table.
         assert intern_module.shared_intern() is not swapped or (
@@ -547,9 +604,7 @@ class TestInternMerge:
                 monomial, local.symbol_id("g{}".format(index))
             )
             ids.append(monomial)
-        remap = table.remapper(*local.export_state())
-        for monomial_id in ids:
-            remap(monomial_id)
+        InternRemapper(table).extend(*local.export_state())
         assert table.entry_count() > 4
         assert intern_module.shared_intern() is not table
 
@@ -569,9 +624,7 @@ class TestQuerySession:
         union = parse_query(
             "ans(x, z) :- R(x, y), R(y, z)\nans(x, x) :- R(x, x)"
         )
-        with QuerySession(
-            db, shards=2, workers=WORKERS, mode="thread", broadcast_threshold=0
-        ) as session:
+        with QuerySession(db, sharded_config(shards=2)) as session:
             first = session.evaluate_batch([chain, union, chain])
             stats = session.stats()
             # The chain adjunct is shared by all three queries but
@@ -588,9 +641,7 @@ class TestQuerySession:
         db = random_database({"R": 2, "S": 2}, [0, 1, 2], 9, seed=3)
         plain = parse_query("ans(x) :- R(x, y)")
         aggregate = parse_query("agg(x, sum(v)) :- S(x, v)")
-        with QuerySession(
-            db, shards=2, workers=WORKERS, mode="thread", broadcast_threshold=0
-        ) as session:
+        with QuerySession(db, sharded_config(shards=2)) as session:
             results = session.evaluate_batch([aggregate, plain, aggregate])
         assert results[0] == evaluate_aggregate(db=db, query=aggregate)
         assert results[1] == evaluate_backtracking(plain, db)
@@ -599,9 +650,7 @@ class TestQuerySession:
     def test_auto_refresh_on_database_change_keeps_partitioning_warm(self):
         db = self._db()
         query = parse_query("ans(x) :- R(x, y)")
-        with QuerySession(
-            db, shards=2, workers=WORKERS, mode="thread", broadcast_threshold=0
-        ) as session:
+        with QuerySession(db, sharded_config(shards=2)) as session:
             before = session.evaluate(query)
             sharded_db = session.executor.sharded_db
             pool = session.executor._pool
@@ -620,9 +669,7 @@ class TestQuerySession:
         db = self._db()
         query = parse_query("ans(x, z) :- R(x, y), R(y, z)")
         other = parse_query("ans(y) :- R(x, y), S(y)")
-        session = QuerySession(
-            db, shards=2, workers=WORKERS, mode="thread", broadcast_threshold=0
-        )
+        session = QuerySession(db, sharded_config(shards=2))
         try:
             pinned = session.intern_table
             first = session.evaluate(query)
@@ -644,12 +691,10 @@ class TestQuerySession:
             parse_query("ans(x, z) :- R(x, y), R(y, z), x != z"),
             parse_query("agg(x, count(*)) :- R(x, y)"),
         ]
-        with QuerySession(db, engine="hashjoin") as plain_session:
+        with QuerySession(db, "hashjoin") as plain_session:
             plain = plain_session.evaluate_batch(queries)
             assert plain_session.executor is None
-        with QuerySession(
-            db, shards=3, workers=WORKERS, mode="thread", broadcast_threshold=0
-        ) as sharded_session:
+        with QuerySession(db, sharded_config(shards=3)) as sharded_session:
             sharded = sharded_session.evaluate_batch(queries)
         assert plain == sharded
 
@@ -657,7 +702,7 @@ class TestQuerySession:
         db = self._db()
         plain = parse_query("ans(x) :- R(x, y)")
         aggregate = parse_query("agg(count(*)) :- R(x, y)")
-        session = QuerySession(db, engine="hashjoin")
+        session = QuerySession(db, "hashjoin")
         with pytest.raises(EvaluationError):
             session.evaluate(aggregate)
         with pytest.raises(EvaluationError):
@@ -666,7 +711,7 @@ class TestQuerySession:
         with pytest.raises(EvaluationError):
             session.evaluate(plain)
         with pytest.raises(EvaluationError):
-            QuerySession(db, engine="quantum")
+            QuerySession(db, "quantum")
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +728,9 @@ class TestShardedRegistry:
         db = random_database({"R": 2, "S": 2}, list(range(5)), 20, seed=17)
         program = parse_program(self.PROGRAM)
         sharded = ViewRegistry(
-            program, db, engine="sharded", shards=2, workers=WORKERS
+            program,
+            db,
+            config=EngineConfig(engine="sharded", shards=2, workers=WORKERS),
         )
         default = ViewRegistry(program, db)
         for name in default.order:
@@ -694,9 +741,7 @@ class TestShardedRegistry:
         registry = ViewRegistry(
             parse_program(self.PROGRAM),
             db,
-            engine="sharded",
-            shards=2,
-            workers=WORKERS,
+            config=EngineConfig(engine="sharded", shards=2, workers=WORKERS),
         )
         assert registry.session is not None
         sharded_db = registry.session.executor.sharded_db
@@ -713,9 +758,7 @@ class TestShardedRegistry:
         with ViewRegistry(
             parse_program("V(x, z) :- R(x, y), S(y, z)"),
             db,
-            engine="sharded",
-            shards=2,
-            workers=WORKERS,
+            config=EngineConfig(engine="sharded", shards=2, workers=WORKERS),
         ) as registry:
             for index in range(5):
                 registry.apply(Delta(inserts=[("R", ("q{}".format(index), 0))]))
@@ -729,9 +772,7 @@ class TestShardedRegistry:
         with ViewRegistry(
             parse_program("V(x, z) :- R(x, y), S(y, z)"),
             db,
-            engine="sharded",
-            shards=2,
-            workers=WORKERS,
+            config=EngineConfig(engine="sharded", shards=2, workers=WORKERS),
         ) as registry:
             registry.apply(Delta(inserts=[("R", ("fresh", 0))]))
             served = registry.session.evaluate(
@@ -748,9 +789,7 @@ class TestShardedRegistry:
         with ViewRegistry(
             parse_program("V(x) :- R(x, y)"),
             db,
-            engine="sharded",
-            shards=2,
-            workers=WORKERS,
+            config=EngineConfig(engine="sharded", shards=2, workers=WORKERS),
         ) as registry:
             rebuilt = refresh(registry)
             try:
@@ -768,7 +807,9 @@ class TestShardedRegistry:
     def test_close_is_idempotent(self):
         db = random_database({"R": 2}, ["a", "b"], 3, seed=1)
         registry = ViewRegistry(
-            parse_program("V(x) :- R(x, y)"), db, engine="sharded", shards=2
+            parse_program("V(x) :- R(x, y)"),
+            db,
+            config=EngineConfig(engine="sharded", shards=2),
         )
         registry.close()
         registry.close()
@@ -778,5 +819,5 @@ class TestShardedRegistry:
         db = random_database({"R": 2}, ["a"], 1, seed=0)
         with pytest.raises(EvaluationError):
             ViewRegistry(
-                parse_program("V(x) :- R(x, y)"), db, engine="quantum"
+                parse_program("V(x) :- R(x, y)"), db, config="quantum"
             )
