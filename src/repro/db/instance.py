@@ -5,6 +5,11 @@ provenance annotation symbol.  A database is *abstractly tagged* when
 all annotations are distinct — the paper's standing assumption outside
 Sec. 6.  Databases with repeated annotations are fully supported so
 that the Sec. 6 results (Thms. 6.1 and 6.2) can be exercised.
+
+The database also owns the hash indexes every join reads through: one
+per ``(relation, bound positions)``, built on the first probe and kept
+current by :meth:`AnnotatedDatabase.add` and
+:meth:`AnnotatedDatabase.remove` (see :meth:`AnnotatedDatabase.lookup`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ Value = Hashable
 Row = Tuple[Value, ...]
 FactKey = Tuple[str, Row]
 
+#: A maintained hash index: bound-position values -> the rows carrying them.
+Index = Dict[Tuple[Value, ...], List[Row]]
+
+_NO_ROWS: Tuple[Row, ...] = ()
+
 #: One entry of the change log: ``(version, op, relation, row, annotation)``
 #: where ``op`` is ``"insert"``, ``"delete"`` or ``"retag"``.  For a retag
 #: the annotation field holds the *new* annotation.
@@ -57,10 +67,33 @@ class AnnotatedDatabase:
         self._relations: Dict[str, Dict[Row, str]] = {}
         self._arities: Dict[str, int] = {}
         self._supply = NameSupply(annotation_prefix)
-        self._by_annotation: Dict[str, List[FactKey]] = {}
+        #: annotation -> its fact, or a list of its facts when it tags
+        #: several (a bare key saves a list per fact in the abstractly
+        #: tagged common case).
+        self._by_annotation: Dict[str, object] = {}
         self._version = 0
         self._track_changes = track_changes
         self._changelog: List[ChangeRecord] = []
+        #: relation -> {bound positions: index}; see :meth:`lookup`.
+        self._indexes: Dict[str, Dict[Tuple[int, ...], Index]] = {}
+
+    def _tag(self, annotation: str, fact: FactKey) -> None:
+        facts = self._by_annotation.get(annotation)
+        if facts is None:
+            self._by_annotation[annotation] = fact
+        elif type(facts) is list:
+            facts.append(fact)
+        else:
+            self._by_annotation[annotation] = [facts, fact]
+
+    def _untag(self, annotation: str, fact: FactKey) -> None:
+        facts = self._by_annotation[annotation]
+        if type(facts) is not list:
+            del self._by_annotation[annotation]
+            return
+        facts.remove(fact)
+        if len(facts) == 1:
+            self._by_annotation[annotation] = facts[0]
 
     def _log(self, op: str, relation: str, row: Row, annotation: str) -> None:
         self._version += 1
@@ -140,7 +173,7 @@ class AnnotatedDatabase:
             for row, annotation in rows.items():
                 row = tuple(row)
                 table[row] = annotation
-                db._by_annotation.setdefault(annotation, []).append((relation, row))
+                db._tag(annotation, (relation, row))
         db._version = int(state["version"])  # type: ignore[arg-type]
         db._supply = NameSupply.from_state(state["supply"])  # type: ignore[arg-type]
         return db
@@ -181,7 +214,16 @@ class AnnotatedDatabase:
         else:
             self._supply.reserve(annotation)
         self._relations[relation][row] = annotation
-        self._by_annotation.setdefault(annotation, []).append((relation, row))
+        self._tag(annotation, (relation, row))
+        indexes = self._indexes.get(relation)
+        if indexes:
+            for positions, index in indexes.items():
+                key = tuple([row[p] for p in positions])
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
         self._log("insert", relation, row, annotation)
         return annotation
 
@@ -199,10 +241,15 @@ class AnnotatedDatabase:
                 "cannot remove absent tuple {}{}".format(relation, row)
             )
         annotation = rows.pop(row)
-        facts = self._by_annotation[annotation]
-        facts.remove((relation, row))
-        if not facts:
-            del self._by_annotation[annotation]
+        self._untag(annotation, (relation, row))
+        indexes = self._indexes.get(relation)
+        if indexes:
+            for positions, index in indexes.items():
+                key = tuple([row[p] for p in positions])
+                bucket = index[key]
+                bucket.remove(row)
+                if not bucket:
+                    del index[key]
         self._log("delete", relation, row, annotation)
         return annotation
 
@@ -211,7 +258,8 @@ class AnnotatedDatabase:
 
         This is the "annotation update" primitive of incremental view
         maintenance: the tuple itself is untouched, only its provenance
-        symbol changes.
+        symbol changes — which is why the hash indexes, holding rows
+        only, need no maintenance here.
         """
         row = tuple(row)
         rows = self._relations.get(relation)
@@ -223,12 +271,9 @@ class AnnotatedDatabase:
         if annotation == old:
             return old
         rows[row] = annotation
-        facts = self._by_annotation[old]
-        facts.remove((relation, row))
-        if not facts:
-            del self._by_annotation[old]
+        self._untag(old, (relation, row))
         self._supply.reserve(annotation)
-        self._by_annotation.setdefault(annotation, []).append((relation, row))
+        self._tag(annotation, (relation, row))
         self._log("retag", relation, row, annotation)
         return old
 
@@ -270,6 +315,78 @@ class AnnotatedDatabase:
         this must not copy the row set the way :meth:`rows` does.
         """
         return len(self._relations.get(relation, ()))
+
+    # ------------------------------------------------------------------
+    # Maintained hash indexes
+    # ------------------------------------------------------------------
+    def index(self, relation: str, positions: Tuple[int, ...]) -> Index:
+        """The hash index of ``relation`` on ``positions``: a live mapping
+        from the values at ``positions`` to the rows carrying them.
+
+        Built by one scan on first use, then kept current by every
+        :meth:`add`/:meth:`remove` (an emptied bucket is dropped).  The
+        mapping is the database's own: read it, never mutate it, and do
+        not iterate it across a mutation.  ``positions`` must be sorted,
+        distinct and within the relation's arity; an unknown relation
+        has an empty index that is not kept.
+        """
+        by_positions = self._indexes.get(relation)
+        if by_positions is not None:
+            index = by_positions.get(positions)
+            if index is not None:
+                return index
+        rows = self._relations.get(relation)
+        if rows is None:
+            return {}
+        index = {}
+        for row in rows:
+            key = tuple([row[p] for p in positions])
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+        self._indexes.setdefault(relation, {})[positions] = index
+        return index
+
+    def lookup(
+        self, relation: str, positions: Tuple[int, ...], key: Tuple[Value, ...]
+    ) -> Sequence[Row]:
+        """Rows of ``relation`` whose values at ``positions`` equal ``key``.
+
+        Probes the maintained :meth:`index`; an empty ``positions`` is a
+        full scan (there is nothing to index on).  The result may be the
+        index's own bucket: do not mutate it or hold it across updates.
+
+        >>> db = AnnotatedDatabase.from_rows({"R": [("a", "b"), ("c", "b")]})
+        >>> db.lookup("R", (1,), ("b",))
+        [('a', 'b'), ('c', 'b')]
+        >>> db.remove("R", ("a", "b"))
+        's1'
+        >>> db.lookup("R", (1,), ("b",))
+        [('c', 'b')]
+        """
+        if not positions:
+            return self.rows(relation)
+        return self.index(relation, positions).get(key, _NO_ROWS)
+
+    def lookup_facts(
+        self, relation: str, positions: Tuple[int, ...], key: Tuple[Value, ...]
+    ) -> List[Tuple[Row, str]]:
+        """``(tuple, annotation)`` pairs of :meth:`lookup` (a fresh list)."""
+        annotations = self._relations.get(relation, {})
+        return [
+            (row, annotations[row])
+            for row in self.lookup(relation, positions, key)
+        ]
+
+    def indexed_positions(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        """``(relation, positions)`` of every built index, sorted."""
+        return sorted(
+            (relation, positions)
+            for relation, by_positions in self._indexes.items()
+            for positions in by_positions
+        )
 
     def facts(self, relation: str) -> List[Tuple[Row, str]]:
         """``(tuple, annotation)`` pairs of ``relation``."""
@@ -342,7 +459,10 @@ class AnnotatedDatabase:
 
     def tuples_for_annotation(self, annotation: str) -> List[FactKey]:
         """All ``(relation, tuple)`` pairs carrying ``annotation``."""
-        return list(self._by_annotation.get(annotation, []))
+        facts = self._by_annotation.get(annotation)
+        if facts is None:
+            return []
+        return list(facts) if type(facts) is list else [facts]
 
     def tuple_for_annotation(self, annotation: str) -> FactKey:
         """The unique tuple carrying ``annotation``.
@@ -353,21 +473,21 @@ class AnnotatedDatabase:
         This is the inversion step of the Sec. 5 direct-computation
         pipeline.
         """
-        facts = self._by_annotation.get(annotation, [])
-        if not facts:
+        facts = self._by_annotation.get(annotation)
+        if facts is None:
             raise UnknownAnnotationError(
                 "no tuple is annotated {}".format(annotation)
             )
-        if len(facts) > 1:
+        if type(facts) is list:
             raise NotAbstractlyTaggedError(
                 "annotation {} tags {} tuples; the database is not "
                 "abstractly tagged".format(annotation, len(facts))
             )
-        return facts[0]
+        return facts
 
     def is_abstractly_tagged(self) -> bool:
         """True when all annotations are pairwise distinct (Sec. 2.3)."""
-        return all(len(facts) == 1 for facts in self._by_annotation.values())
+        return not any(type(facts) is list for facts in self._by_annotation.values())
 
     def annotations(self) -> Set[str]:
         """All annotation symbols in use."""

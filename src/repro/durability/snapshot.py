@@ -32,7 +32,7 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.db.sharding import _decode_value, _encode_value
 from repro.errors import SnapshotError
@@ -77,7 +77,8 @@ def _canonical_json(payload) -> bytes:
 # ----------------------------------------------------------------------
 # Section payloads
 # ----------------------------------------------------------------------
-def _encode_database(checkpoint: Dict[str, object]) -> bytes:
+def _encode_database(checkpoint: Dict[str, object]) -> List[bytes]:
+    """The ``DBST`` payload, as chunks (one relation's blobs at a time)."""
     supply = _canonical_json(checkpoint["supply"])
     relations: Dict[str, Dict] = checkpoint["relations"]  # type: ignore[assignment]
     arities: Dict[str, int] = checkpoint["arities"]  # type: ignore[assignment]
@@ -104,10 +105,10 @@ def _encode_database(checkpoint: Dict[str, object]) -> bytes:
         chunks.append(_RELATION_HEADER.pack(len(name), arity, len(rows)))
         chunks.append(name)
         chunks.append(ann_offsets.tobytes())
-        chunks.append(bytes(ann_blob))
+        chunks.append(ann_blob)
         chunks.append(cell_offsets.tobytes())
-        chunks.append(bytes(cell_blob))
-    return b"".join(chunks)
+        chunks.append(cell_blob)
+    return chunks
 
 
 def _decode_database(payload: bytes) -> Dict[str, object]:
@@ -229,18 +230,25 @@ def _decode_intern(payload: bytes) -> InternState:
 # ----------------------------------------------------------------------
 # Whole snapshots
 # ----------------------------------------------------------------------
-def encode_snapshot(
+def snapshot_chunks(
     checkpoint: Dict[str, object],
     intern_state: Optional[InternState] = None,
-    registry_state: Optional[Dict[str, object]] = None,
-) -> bytes:
-    """Serialize one snapshot (database, intern table, registry)."""
+    registry_json: Optional[List[bytes]] = None,
+) -> List[bytes]:
+    """One snapshot as chunks whose concatenation is the file.
+
+    ``registry_json`` is the ``VREG`` payload already encoded (e.g.
+    :meth:`~repro.incremental.registry.ViewRegistry.materialized_json`);
+    ``None`` stands for a bare session.  Section lengths and checksums
+    are folded over the chunks, so the file is never joined in memory:
+    :func:`write_snapshot` writes the chunks as they are.
+    """
     sections = [
         (SECTION_DATABASE, _encode_database(checkpoint)),
-        (SECTION_INTERN, _encode_intern(intern_state or ([], []))),
-        (SECTION_REGISTRY, _canonical_json(registry_state)),
+        (SECTION_INTERN, [_encode_intern(intern_state or ([], []))]),
+        (SECTION_REGISTRY, registry_json or [b"null"]),
     ]
-    chunks = [
+    chunks: List[bytes] = [
         _SNAPSHOT_HEADER.pack(
             SNAPSHOT_MAGIC,
             SNAPSHOT_VERSION,
@@ -249,9 +257,27 @@ def encode_snapshot(
         )
     ]
     for kind, payload in sections:
-        chunks.append(_SECTION_HEADER.pack(kind, len(payload), zlib.crc32(payload)))
-        chunks.append(payload)
-    return b"".join(chunks)
+        length = 0
+        checksum = 0
+        for chunk in payload:
+            length += len(chunk)
+            checksum = zlib.crc32(chunk, checksum)
+        chunks.append(_SECTION_HEADER.pack(kind, length, checksum))
+        chunks.extend(payload)
+    return chunks
+
+
+def encode_snapshot(
+    checkpoint: Dict[str, object],
+    intern_state: Optional[InternState] = None,
+    registry_state: Optional[Dict[str, object]] = None,
+) -> bytes:
+    """Serialize one snapshot (database, intern table, registry)."""
+    return b"".join(
+        snapshot_chunks(
+            checkpoint, intern_state, [_canonical_json(registry_state)]
+        )
+    )
 
 
 def decode_snapshot(data: bytes) -> SnapshotContent:
@@ -318,14 +344,18 @@ def decode_snapshot(data: bytes) -> SnapshotContent:
     )
 
 
-def write_snapshot(path: str, data: bytes) -> None:
-    """Write snapshot bytes atomically (temp file, fsync, rename)."""
+def write_snapshot(path: str, data: Union[bytes, Sequence[bytes]]) -> None:
+    """Write snapshot bytes — or the chunks of :func:`snapshot_chunks` —
+    atomically (temp file, fsync, rename)."""
     directory = os.path.dirname(path) or "."
     temp = os.path.join(
         directory, ".{}.tmp".format(os.path.basename(path))
     )
     with open(temp, "wb") as handle:
-        handle.write(data)
+        if isinstance(data, (bytes, bytearray)):
+            handle.write(data)
+        else:
+            handle.writelines(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)

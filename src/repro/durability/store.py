@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.db.instance import AnnotatedDatabase
 from repro.durability.snapshot import (
     InternState,
-    encode_snapshot,
     read_snapshot,
+    snapshot_chunks,
     write_snapshot,
 )
 from repro.durability.wal import WriteAheadLog, scan_wal
@@ -151,15 +151,17 @@ class DurableStore:
         on disk, so every crash window leaves a recoverable pair.
         """
         version = db.version()
-        data = encode_snapshot(
+        chunks = snapshot_chunks(
             db.checkpoint_state(),
             intern_state,
-            registry.materialized_state() if registry is not None else None,
+            registry.materialized_json() if registry is not None else None,
         )
         with current_tracer().span(
-            "snapshot.write", version=version, bytes=len(data)
+            "snapshot.write",
+            version=version,
+            bytes=sum(len(chunk) for chunk in chunks),
         ):
-            write_snapshot(self._snapshot_path(version), data)
+            write_snapshot(self._snapshot_path(version), chunks)
             wal_path = self._wal_path(version)
             if self._wal is None or self._wal.path != wal_path:
                 old = self._wal

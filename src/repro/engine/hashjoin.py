@@ -8,9 +8,11 @@ intermediate annotated relations
 
 ``{binding tuple: {interned monomial id: coefficient}}``
 
-where each step hashes one base relation on the positions bound so far,
-extends every intermediate binding with the matching rows, multiplies
-annotations through the global intern table
+where each step probes the database's maintained hash index on the
+positions bound so far (see :meth:`AnnotatedDatabase.lookup
+<repro.db.instance.AnnotatedDatabase.lookup>`), extends every
+intermediate binding with the matching rows, multiplies annotations
+through the global intern table
 (:mod:`repro.algebra.intern` — monomial × symbol is a memoized lookup)
 and projects away variables no longer needed.  Projection and union
 merge annotation dictionaries by *adding* coefficients, which is
@@ -19,7 +21,8 @@ polynomials equal the Def. 2.12 sum over assignments monomial for
 monomial — an equality the three-engine differential suite asserts on
 every workload.
 
-Join orders come from the shared greedy heuristic and are cached in a
+Join orders come from the shared greedy heuristic, which costs an atom
+with a constant by the rows its constants select, and are cached in a
 :class:`~repro.engine.plan_cache.PlanCache` keyed by the query and the
 cardinality band profile of its relations, so repeated evaluation —
 the incremental-maintenance refresh loop, benchmarks, view audits —
@@ -112,37 +115,61 @@ def _db_arity(db: AnnotatedDatabase, relation: str) -> Optional[int]:
         return None
 
 
-def _measure(query: ConjunctiveQuery, db: AnnotatedDatabase):
-    """``{relation: (arity or None, cardinality)}``, each measured once."""
-    return {
+#: What the planner measures of a database for one query (see
+#: :func:`_measure`): relation measures plus selected cardinalities.
+Measured = Tuple[Dict[str, Tuple[Optional[int], int]], Dict[int, int]]
+
+
+def _measure(query: ConjunctiveQuery, db: AnnotatedDatabase) -> Measured:
+    """What the planner reads of ``db``, each figure measured once.
+
+    ``({relation: (arity or None, cardinality)}, {atom index: selected
+    cardinality})``: an atom with a constant is costed by the exact
+    number of rows matching its constants — the bucket size of the
+    database's maintained index on the constant positions — instead of
+    by its relation's size.
+    """
+    relations = {
         relation: (_db_arity(db, relation), db.cardinality(relation))
         for relation in query.relations()
     }
+    selected: Dict[int, int] = {}
+    for atom_index, atom in enumerate(query.atoms):
+        constants = [
+            (position, term.value)
+            for position, term in enumerate(atom.args)
+            if isinstance(term, Constant)
+        ]
+        if constants and relations[atom.relation][0] == atom.arity:
+            positions, key = zip(*constants)
+            selected[atom_index] = len(db.lookup(atom.relation, positions, key))
+    return relations, selected
 
 
 def compile_cq(
     query: ConjunctiveQuery,
     db: AnnotatedDatabase,
-    measured: Optional[Dict[str, Tuple[Optional[int], int]]] = None,
+    measured: Optional[Measured] = None,
 ) -> CQPlan:
     """Compile one conjunctive adjunct into a hash-join plan for ``db``.
 
-    ``measured`` lets :func:`plan_for` reuse the arity/cardinality map
-    it already built for the cache key.
+    ``measured`` lets :func:`plan_for` reuse the measures it already
+    took for the cache key.
     """
     if measured is None:
         measured = _measure(query, db)
+    relations, selected = measured
     atoms = query.atoms
     for atom in atoms:
-        arity = measured[atom.relation][0]
+        arity = relations[atom.relation][0]
         if arity is None or arity != atom.arity:
             return CQPlan(steps=(), head_slots=(), satisfiable=False)
 
     cardinalities = {
         relation: cardinality
-        for relation, (_arity, cardinality) in measured.items()
+        for relation, (_arity, cardinality) in relations.items()
     }
-    order = greedy_order(atoms, cardinalities)
+    order = greedy_order(atoms, cardinalities, selected)
 
     # First step (in plan order) at which each variable becomes bound.
     bind_step: Dict[Variable, int] = {}
@@ -282,6 +309,40 @@ def _build_step_index(
     return index
 
 
+def _probe_fill(step: JoinStep, db: AnnotatedDatabase, memo: Dict, symbol_id):
+    """The miss handler of one step's probe memo over ``db``'s indexes.
+
+    The returned ``fill(key)`` maps a join key (the carried values, in
+    ``key_positions`` order) to the step's ``(extension, symbol id)``
+    matches: it merges in the step's constants, probes the database's
+    maintained index on the bound positions, applies the intra-atom
+    checks and memoizes the answer for the rest of the call.  Only the
+    buckets a call actually reaches are read and interned.
+    """
+    slots = sorted(
+        [(position, False, value) for position, value in step.const_checks]
+        + [(position, True, i) for i, position in enumerate(step.key_positions)]
+    )
+    positions = tuple(position for position, _carried, _v in slots)
+    recipe = tuple((carried, v) for _position, carried, v in slots)
+    relation = step.relation
+    intra_checks = step.intra_checks
+    ext_positions = step.ext_positions
+
+    def fill(key):
+        probe = tuple([key[v] if carried else v for carried, v in recipe])
+        matches = [
+            (tuple([row[p] for p in ext_positions]), symbol_id(annotation))
+            for row, annotation in db.lookup_facts(relation, positions, probe)
+            if not intra_checks
+            or all(row[a] == row[b] for a, b in intra_checks)
+        ]
+        memo[key] = matches
+        return matches
+
+    return fill
+
+
 def _execute(
     plan: CQPlan,
     db: Optional[AnnotatedDatabase],
@@ -290,17 +351,24 @@ def _execute(
     index_cache: Optional[Dict] = None,
     index_key=None,
 ) -> Dict[HeadTuple, _Annotation]:
-    """Run a compiled plan; ``facts_fn(step_index, step)`` overrides the
-    row source of each step (the sharded engine anchors one step on a
+    """Run a compiled plan over ``db``, or over ``facts_fn(step_index,
+    step)`` row sources (the sharded engine anchors one step on a
     shard's owned fragment this way).
 
-    ``index_cache``/``index_key`` enable per-snapshot join-index reuse:
-    when both are given, each step's hash index is cached in
-    ``index_cache`` under ``index_key(step_index)`` — steady-state
-    re-evaluation over an unchanged snapshot becomes probe-only.  The
-    key must capture everything the index depends on: the plan, the
-    step, the row source (anchored fragment vs full relation) and the
-    intern table the symbol ids belong to.
+    Over ``db``, every step with a bound position (a constant or a
+    carried variable) probes the database's maintained hash index on
+    those positions, so a selective query reads only the buckets it
+    reaches and an unchanged relation is never re-hashed.  A step with
+    nothing bound, and every step over ``facts_fn``, hashes its rows
+    per call instead.
+
+    ``index_cache``/``index_key`` enable per-snapshot reuse of those
+    per-call indexes: when both are given, each step's hash index is
+    cached in ``index_cache`` under ``index_key(step_index)`` —
+    steady-state re-evaluation over an unchanged snapshot becomes
+    probe-only.  The key must capture everything the index depends on:
+    the plan, the step, the row source (anchored fragment vs full
+    relation) and the intern table the symbol ids belong to.
     """
     if not plan.satisfiable:
         return {}
@@ -313,34 +381,44 @@ def _execute(
         # untouched, so a null tracer leaves the engine loop as it was.
         step_span_cm = tracer.span("join.step", relation=step.relation)
         step_span = step_span_cm.__enter__()
-        cached = None
-        cache_key = None
-        if index_cache is not None and index_key is not None:
-            cache_key = index_key(step_index)
-            cached = index_cache.get(cache_key)
-        if cached is None:
-            source = (
-                db.facts(step.relation)
-                if facts_fn is None
-                else facts_fn(step_index, step)
-            )
-            rows = len(source)
-            index = _build_step_index(step, source, symbol_id)
-            if cache_key is not None:
-                if len(index_cache) >= _INDEX_CACHE_LIMIT:
-                    index_cache.clear()
-                index_cache[cache_key] = (index, rows)
-                step_span.set(cache="miss")
+        fill = None
+        if facts_fn is None and (step.key_positions or step.const_checks):
+            index: Dict = {}
+            fill = _probe_fill(step, db, index, symbol_id)
+            rows = db.cardinality(step.relation)
         else:
-            index, rows = cached
-            step_span.set(cache="hit")
+            cached = None
+            cache_key = None
+            if index_cache is not None and index_key is not None:
+                cache_key = index_key(step_index)
+                cached = index_cache.get(cache_key)
+            if cached is None:
+                source = (
+                    db.facts(step.relation)
+                    if facts_fn is None
+                    else facts_fn(step_index, step)
+                )
+                rows = len(source)
+                index = _build_step_index(step, source, symbol_id)
+                if cache_key is not None:
+                    if len(index_cache) >= _INDEX_CACHE_LIMIT:
+                        index_cache.clear()
+                    index_cache[cache_key] = (index, rows)
+                    step_span.set(cache="miss")
+            else:
+                index, rows = cached
+                step_span.set(cache="hit")
 
         diseq_checks = step.diseq_checks
         carry = step.carry
         key_indices = step.key_indices
         new_state: Dict[Tuple[Value, ...], _Annotation] = {}
+        lookup = index.get
         for bindings, annotation in state.items():
-            matches = index.get(tuple(bindings[i] for i in key_indices))
+            key = tuple([bindings[i] for i in key_indices])
+            matches = lookup(key)
+            if matches is None and fill is not None:
+                matches = fill(key)
             if not matches:
                 continue
             for extension, symbol in matches:
@@ -418,7 +496,7 @@ def plan_for(
     cache = _DEFAULT_CACHE if cache is None else cache
     with current_tracer().span("plan") as span:
         measured = _measure(query, db)
-        key = (query, cardinality_profile(measured))
+        key = (query, cardinality_profile(*measured))
         plan = cache.lookup(key)
         if plan is None:
             span.set(cache="miss")

@@ -11,9 +11,14 @@ relation's size collapsed to its power-of-two band — so that
 * growth or shrinkage past a band boundary invalidates exactly the
   plans whose ordering decisions it could change.
 
+An atom with a constant is costed by its *selected* cardinality — the
+number of rows matching its constants, read off the database's
+maintained index — and the profile carries that figure's band too, so
+``R('a', y)`` is planned as the one row it selects, not as all of ``R``.
+
 The greedy ordering heuristic lives here too, used by the hash-join
 compiler (:mod:`repro.engine.hashjoin`): prefer atoms with more
-already-bound variables, break ties by smaller relation cardinality,
+already-bound variables, break ties by smaller (selected) cardinality,
 then by fewer newly-bound variables.
 """
 
@@ -27,7 +32,7 @@ from repro.query.atoms import Atom
 from repro.query.terms import Variable
 
 #: A cache key: the query plus its cardinality profile.
-PlanKey = Tuple[Hashable, Tuple[Tuple[str, int, int], ...]]
+PlanKey = Tuple[Hashable, Tuple[Tuple, ...]]
 
 
 def cardinality_band(cardinality: int) -> int:
@@ -40,44 +45,67 @@ def cardinality_band(cardinality: int) -> int:
 
 
 def cardinality_profile(
-    relations: Mapping[str, Tuple[Optional[int], int]]
-) -> Tuple[Tuple[str, int, int], ...]:
-    """A hashable ``(relation, arity, band)`` profile for cache keying.
+    relations: Mapping[str, Tuple[Optional[int], int]],
+    selected: Optional[Mapping[int, int]] = None,
+) -> Tuple[Tuple, ...]:
+    """A hashable profile for cache keying: one ``(relation, arity,
+    band)`` triple per relation, then one ``(atom index, band)`` pair
+    per atom costed by its selected cardinality.
 
     ``relations`` maps each relation to ``(arity or None, cardinality)``;
     the arity participates in the key because a plan compiled against a
-    mismatched arity degenerates to the empty plan.
+    mismatched arity degenerates to the empty plan.  ``selected`` maps
+    atom indexes to the number of rows their constants select.
+
+    >>> cardinality_profile({"R": (2, 1000)}, {0: 3})
+    (('R', 2, 10), (0, 2))
     """
-    return tuple(
+    profile: Tuple[Tuple, ...] = tuple(
         (relation, -1 if arity is None else arity, cardinality_band(cardinality))
         for relation, (arity, cardinality) in sorted(relations.items())
     )
+    if selected:
+        profile += tuple(
+            (index, cardinality_band(count))
+            for index, count in sorted(selected.items())
+        )
+    return profile
 
 
 def greedy_order(
-    atoms: Sequence[Atom], cardinalities: Mapping[str, int]
+    atoms: Sequence[Atom],
+    cardinalities: Mapping[str, int],
+    selected: Optional[Mapping[int, int]] = None,
 ) -> List[int]:
     """Greedy join order over atom indices.
 
     Repeatedly pick the atom maximizing the number of variables already
     bound by chosen atoms; ties go to the smaller relation, then to the
     atom binding fewer new variables (a selectivity proxy), then to
-    presentation order for determinism.
+    presentation order for determinism.  ``selected`` overrides the size
+    of individual atoms (by index) with the rows their constants select.
 
     >>> from repro.query.build import atom
     >>> greedy_order([atom("Big", "x", "y"), atom("Small", "x")],
     ...              {"Big": 100, "Small": 1})
     [1, 0]
+    >>> greedy_order([atom("Big", "x", "y"), atom("Small", "x")],
+    ...              {"Big": 100, "Small": 1}, {0: 0})
+    [0, 1]
     """
+    selected = {} if selected is None else selected
     remaining = list(range(len(atoms)))
     bound: Set[Variable] = set()
     order: List[int] = []
     while remaining:
         def badness(index: int):
             atom_vars = set(atoms[index].variables())
+            size = selected.get(index)
             return (
                 -len(atom_vars & bound),
-                cardinalities.get(atoms[index].relation, 0),
+                cardinalities.get(atoms[index].relation, 0)
+                if size is None
+                else size,
                 len(atom_vars - bound),
                 index,
             )

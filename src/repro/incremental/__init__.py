@@ -48,8 +48,8 @@ the polynomials and derive cores on demand.
 Subsystem layout
 ----------------
 :mod:`~repro.incremental.delta`
-    :class:`Delta` batches, lazily-built per-relation hash indexes, and
-    the pivot-decomposed delta join.
+    :class:`Delta` batches and the pivot-decomposed delta join, which
+    probes the database's own maintained hash indexes.
 :mod:`~repro.incremental.registry`
     :class:`ViewRegistry` — materialized views with fresh layer symbols
     (as in :mod:`repro.views.program`), maintained in topological order
@@ -62,7 +62,6 @@ Subsystem layout
 
 from repro.incremental.delta import (
     Delta,
-    HashIndexes,
     apply_to_database,
     delta_assignments,
     delta_provenance,
@@ -82,7 +81,6 @@ from repro.incremental.registry import (
 
 __all__ = [
     "Delta",
-    "HashIndexes",
     "apply_to_database",
     "delta_assignments",
     "delta_provenance",

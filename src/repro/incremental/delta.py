@@ -14,11 +14,12 @@ the provenance polynomial *increase* — no subtraction is ever needed in
 ``N[X]``; deletions are handled separately by monomial filtering (see
 :mod:`repro.apps.deletion`).
 
-Joins against the unchanged part of the database go through
-:class:`HashIndexes` — per ``(relation, bound-position)`` hash indexes
-built lazily and maintained under updates — so a delta join inspects
-only rows matching the already-bound attributes instead of scanning
-whole relations.
+Joins against the unchanged part of the database probe the database's
+own maintained hash indexes (:meth:`AnnotatedDatabase.lookup
+<repro.db.instance.AnnotatedDatabase.lookup>` — one per ``(relation,
+bound positions)``, built lazily and kept current by every insert and
+delete), so a delta join inspects only rows matching the already-bound
+attributes instead of scanning whole relations.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from repro.query.ucq import Query, adjuncts_of
 from repro.semiring.polynomial import Polynomial
 
 Fact = Tuple[str, Row]
-
-_EMPTY: Tuple[Row, ...] = ()
 
 
 def _normalize_insert(entry: Sequence) -> Tuple[str, Row, Optional[str]]:
@@ -161,60 +160,6 @@ class Delta:
         )
 
 
-class HashIndexes:
-    """Lazy per-``(relation, bound positions)`` hash indexes.
-
-    ``lookup("R", (0,), ("a",))`` returns the rows of ``R`` whose first
-    attribute equals ``"a"`` — built on first use by one scan, then
-    maintained incrementally through :meth:`insert` / :meth:`remove`.
-    An empty position mask falls back to a full scan (there is nothing
-    to index on).
-    """
-
-    def __init__(self, db: AnnotatedDatabase):  # noqa: D107
-        self._db = db
-        self._indexes: Dict[
-            Tuple[str, Tuple[int, ...]], Dict[Tuple[Value, ...], List[Row]]
-        ] = {}
-
-    def lookup(
-        self, relation: str, positions: Tuple[int, ...], key: Tuple[Value, ...]
-    ) -> Sequence[Row]:
-        """Rows of ``relation`` whose values at ``positions`` equal ``key``."""
-        if not positions:
-            return self._db.rows(relation)
-        index = self._indexes.get((relation, positions))
-        if index is None:
-            index = {}
-            for row in self._db.rows(relation):
-                index.setdefault(
-                    tuple(row[p] for p in positions), []
-                ).append(row)
-            self._indexes[(relation, positions)] = index
-        return index.get(key, _EMPTY)
-
-    def insert(self, relation: str, row: Row) -> None:
-        """Mirror a database insertion into every built index."""
-        for (indexed_relation, positions), index in self._indexes.items():
-            if indexed_relation == relation:
-                index.setdefault(
-                    tuple(row[p] for p in positions), []
-                ).append(row)
-
-    def remove(self, relation: str, row: Row) -> None:
-        """Mirror a database deletion into every built index."""
-        for (indexed_relation, positions), index in self._indexes.items():
-            if indexed_relation == relation:
-                key = tuple(row[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is not None and row in bucket:
-                    bucket.remove(row)
-
-    def built_count(self) -> int:
-        """Number of materialized indexes (for tests/inspection)."""
-        return len(self._indexes)
-
-
 def _bound_positions(
     atom, binding: Dict[Variable, Value]
 ) -> Tuple[Tuple[int, ...], Tuple[Value, ...]]:
@@ -263,7 +208,6 @@ def _arity_matches(db: AnnotatedDatabase, atom) -> bool:
 def delta_assignments(
     query: ConjunctiveQuery,
     db: AnnotatedDatabase,
-    indexes: HashIndexes,
     inserted: Mapping[str, AbstractSet[Row]],
 ) -> Iterator[Assignment]:
     """Assignments of ``query`` over ``db`` using ≥ 1 inserted tuple.
@@ -312,7 +256,7 @@ def delta_assignments(
                 candidates: Iterable[Row] = fresh_rows
             else:
                 positions, key = _bound_positions(atom, binding)
-                candidates = indexes.lookup(atom.relation, positions, key)
+                candidates = db.lookup(atom.relation, positions, key)
                 if index < pivot:
                     changed = inserted.get(atom.relation)
                     if changed:
@@ -339,7 +283,6 @@ def delta_assignments(
 def delta_provenance(
     query: Query,
     db: AnnotatedDatabase,
-    indexes: HashIndexes,
     inserted: Mapping[str, AbstractSet[Row]],
 ) -> Dict[HeadTuple, Polynomial]:
     """The provenance *increase* per output tuple caused by ``inserted``.
@@ -350,7 +293,7 @@ def delta_provenance(
     """
     results: Dict[HeadTuple, Polynomial] = {}
     for adjunct in adjuncts_of(query):
-        for assignment in delta_assignments(adjunct, db, indexes, inserted):
+        for assignment in delta_assignments(adjunct, db, inserted):
             head = assignment.head_tuple()
             monomial = assignment.monomial(db)
             previous = results.get(head, Polynomial.zero())
@@ -359,11 +302,9 @@ def delta_provenance(
 
 
 def apply_to_database(
-    db: AnnotatedDatabase,
-    delta: Delta,
-    indexes: Optional[HashIndexes] = None,
+    db: AnnotatedDatabase, delta: Delta
 ) -> Tuple[Set[str], Dict[str, Set[Row]], Dict[str, str]]:
-    """Apply a base delta to ``db`` (mirroring ``indexes`` when given).
+    """Apply a base delta to ``db`` (its hash indexes follow on their own).
 
     Returns ``(deleted_symbols, inserted_rows_by_relation, retag_map)``
     — the three ingredients of polynomial maintenance.  Deletes are
@@ -377,15 +318,11 @@ def apply_to_database(
     retag_map: Dict[str, str] = {}
     for relation, row in delta.deletes:
         deleted_symbols.add(db.remove(relation, row))
-        if indexes is not None:
-            indexes.remove(relation, row)
     for relation, row, annotation in delta.inserts:
         if db.contains(relation, row):
             db.add(relation, row, annotation=annotation)  # annotation check
             continue
         db.add(relation, row, annotation=annotation)
-        if indexes is not None:
-            indexes.insert(relation, row)
         inserted.setdefault(relation, set()).add(row)
     for relation, row, annotation in delta.retags:
         old = db.retag(relation, row, annotation)

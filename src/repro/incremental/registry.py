@@ -11,7 +11,7 @@ view consistent under batched base updates without re-evaluation:
   :func:`repro.apps.deletion.partition_by_survival`);
 * insertions are pushed through the delta rule of
   :mod:`repro.incremental.delta`, joining only against rows reachable
-  from the inserted tuples via hash indexes;
+  from the inserted tuples via the working database's hash indexes;
 * view-level changes (a view tuple dying or being born) become the
   delta of downstream views, processed in topological order.
 
@@ -35,7 +35,6 @@ from repro.engine.evaluate import evaluate
 from repro.errors import EvaluationError
 from repro.incremental.delta import (
     Delta,
-    HashIndexes,
     apply_to_database,
     delta_assignments,
     delta_provenance,
@@ -52,6 +51,14 @@ from repro.views.program import (
 )
 
 ViewTuple = Tuple[str, Row]
+
+#: Where a cached row fragment's polynomial text starts: right after
+#: ``{"provenance":`` (see :func:`repro.io.result_row_json`).
+_PROVENANCE_AT = len('{"provenance":')
+
+#: Binding or group fragments joined per :meth:`ViewRegistry.
+#: materialized_json` chunk.
+_FRAGMENTS_PER_CHUNK = 256
 
 
 @dataclass
@@ -156,7 +163,6 @@ class ViewRegistry:
             self._db.declare_relation(relation, db.arity(relation))
         for relation, row, annotation in db.all_facts():
             self._db.add(relation, row, annotation=annotation)
-        self._indexes = HashIndexes(self._db)
         self._session = None
         if engine == "sharded":
             # Imported lazily (repro.session imports the engine stack,
@@ -176,6 +182,7 @@ class ViewRegistry:
         self._dependents: Dict[str, Set[ViewTuple]] = {}
         self._dynamic: Dict[str, AnyQuery] = {}
         self._observers: List = []
+        self._fragments: Dict[str, Tuple[Polynomial, str]] = {}
         self._materialize()
 
     # ------------------------------------------------------------------
@@ -213,6 +220,114 @@ class ViewRegistry:
                 for name, groups in sorted(self._aggregates.items())
             },
         }
+
+    def materialized_json(self) -> List[bytes]:
+        """``canonical_json(materialized_state())`` (no trailing newline),
+        as chunks whose concatenation is those exact bytes.
+
+        The durability snapshot writes these chunks instead of building
+        the JSON-ready state: each binding's polynomial text is reused
+        from the view-read cache (see :meth:`view_fragments`) when its
+        row is unchanged since the last read, and everything else is
+        encoded a few rows at a time, so the transient heap stays a
+        small multiple of the section's size.
+        """
+        from repro.io import (
+            aggregate_result_to_dict,
+            fragment_json,
+            polynomial_json,
+        )
+        from repro.query.printer import query_to_str
+
+        chunks: List[bytes] = []
+        parts: List[str] = []
+
+        def emit(text: str) -> None:
+            parts.append(text)
+            if len(parts) >= _FRAGMENTS_PER_CHUNK:
+                flush()
+
+        def flush() -> None:
+            chunks.append("".join(parts).encode("utf-8"))
+            parts.clear()
+
+        emit('{{"aggregate_names":{},"aggregates":{{'.format(
+            fragment_json(sorted(self._aggregate_names))
+        ))
+        aggregates = sorted(self._aggregates.items())
+        for position, (name, groups) in enumerate(aggregates):
+            emit('{}{}:['.format("," if position else "", fragment_json(name)))
+            for index, (group, result) in enumerate(
+                sorted(groups.items(), key=lambda kv: repr(kv[0]))
+            ):
+                text = fragment_json(aggregate_result_to_dict(group, result))
+                emit("," + text if index else text)
+            emit("]")
+        emit('}},"base_relations":{},"bindings":{{'.format(
+            fragment_json(sorted(self._base_relations))
+        ))
+        fragments = self._fragments
+        bindings = sorted(self._bindings.items())
+        for index, (symbol, polynomial) in enumerate(bindings):
+            entry = fragments.get(symbol)
+            if entry is not None and entry[0] is polynomial:
+                # The fragment's last ',"tuple":' is its own separator:
+                # inside JSON text a quote before a colon ends a key,
+                # and the tuple is an array, so it holds no keys.
+                text = entry[1][_PROVENANCE_AT:entry[1].rindex(',"tuple":')]
+            else:
+                text = polynomial_json(polynomial)
+            emit(
+                '{}{}:{}'.format("," if index else "", fragment_json(symbol), text)
+            )
+        emit('}},"dynamic":{},"order":{},"supply":{}}}'.format(
+            fragment_json(
+                {
+                    name: query_to_str(query)
+                    for name, query in self._dynamic.items()
+                }
+            ),
+            fragment_json(list(self._order)),
+            fragment_json(self._supply.state()),
+        ))
+        flush()
+        return chunks
+
+    def view_fragments(self, name: str) -> List[str]:
+        """The row fragments of plain view ``name``'s ``GET /views`` body
+        (see :func:`repro.io.encode_rows`), in wire order.
+
+        A row's fragment is kept with the row and reused for as long as
+        the row's polynomial is the same object: polynomials are
+        immutable and every maintenance step that changes a row installs
+        a new one, so identity is exactly "unchanged since the last
+        read".  A read therefore re-encodes only the rows the updates
+        since the previous read touched.  Aggregate views have no
+        fragments (:meth:`read_view` serves them).
+        """
+        from repro.io import polynomial_json, result_row_json
+
+        self._require_view(name)
+        if name in self._aggregate_names:
+            raise EvaluationError(
+                "view {!r} is an aggregate view; it has no row "
+                "fragments".format(name)
+            )
+        view = self._views[name]
+        symbols = self._symbols[name]
+        fragments = self._fragments
+        out: List[str] = []
+        for row in sorted(view, key=repr):
+            polynomial = view[row]
+            symbol = symbols[row]
+            entry = fragments.get(symbol)
+            if entry is None or entry[0] is not polynomial:
+                entry = fragments[symbol] = (
+                    polynomial,
+                    result_row_json(row, polynomial_json(polynomial)),
+                )
+            out.append(entry[1])
+        return out
 
     @classmethod
     def from_materialized(
@@ -269,7 +384,6 @@ class ViewRegistry:
         registry._base_relations = set(state["base_relations"])
         registry._supply = NameSupply.from_state(state["supply"])
         registry._db = db
-        registry._indexes = HashIndexes(db)
         registry._session = None
         if config.engine == "sharded":
             from repro.session import QuerySession
@@ -286,6 +400,7 @@ class ViewRegistry:
         registry._aggregates = {}
         registry._dependents = {}
         registry._observers = []
+        registry._fragments = {}
         for name in registry._order:
             if name in registry._aggregate_names:
                 groups = aggregate_results_from_list(state["aggregates"][name])
@@ -370,7 +485,6 @@ class ViewRegistry:
         self._symbols[name][row] = symbol
         self._bindings[symbol] = polynomial
         self._db.add(name, row, annotation=symbol)
-        self._indexes.insert(name, row)
         for mentioned in polynomial.support():
             self._dependents.setdefault(mentioned, set()).add((name, row))
         return symbol
@@ -406,7 +520,7 @@ class ViewRegistry:
             )
         self._validate_annotations(delta)
         deleted_symbols, inserted, retag_map = apply_to_database(
-            self._db, delta, self._indexes
+            self._db, delta
         )
         self._base_relations.update(inserted)
         changes: Dict[str, ViewChange] = {}
@@ -541,8 +655,8 @@ class ViewRegistry:
                     old = view.pop(row)
                     retired = symbols.pop(row)
                     del self._bindings[retired]
+                    self._fragments.pop(retired, None)
                     self._db.remove(name, row)
-                    self._indexes.remove(name, row)
                     self._reindex(name, row, old, Polynomial.zero())
                     deleted_symbols.add(retired)  # invalidates downstream
                     change.deleted[row] = retired
@@ -556,7 +670,7 @@ class ViewRegistry:
         # Insertions: the delta join adds the provenance increase.
         if inserted:
             increase = delta_provenance(
-                self._program[name], self._db, self._indexes, inserted
+                self._program[name], self._db, inserted
             )
             for row in sorted(increase, key=repr):
                 extra = increase[row]
@@ -616,7 +730,7 @@ class ViewRegistry:
             accumulator = AggregateAccumulator(query)
             for rule in query.rules:
                 for assignment in delta_assignments(
-                    rule.inner, self._db, self._indexes, inserted
+                    rule.inner, self._db, inserted
                 ):
                     accumulator.add(
                         rule,
@@ -828,17 +942,20 @@ class ViewRegistry:
         :class:`~repro.errors.EvaluationError` — the HTTP layer maps
         that to a 404, not a 500.
         """
+        self._require_view(name)
+        if not base:
+            return self.view(name)
+        if name in self._aggregate_names:
+            return self.base_aggregates(name)
+        return self.base_provenance(name)
+
+    def _require_view(self, name: str) -> None:
         if name not in self._program:
             raise EvaluationError(
                 "no view named {!r}; registry serves {}".format(
                     name, sorted(self._program)
                 )
             )
-        if not base:
-            return self.view(name)
-        if name in self._aggregate_names:
-            return self.base_aggregates(name)
-        return self.base_provenance(name)
 
     def aggregate_view(self, name: str) -> Dict[Row, AggregateResult]:
         """One maintained aggregate view (a copy)."""
@@ -915,7 +1032,8 @@ class ViewRegistry:
             "view_tuples": sum(len(view) for view in self._views.values())
             + sum(len(groups) for groups in self._aggregates.values()),
             "live_symbols": len(self._bindings),
-            "indexes": self._indexes.built_count(),
+            "indexes": len(self._db.indexed_positions()),
+            "fragments": len(self._fragments),
         }
 
     def __repr__(self) -> str:

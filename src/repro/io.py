@@ -21,8 +21,8 @@ Round-trips are exact and tested.
 from __future__ import annotations
 
 import json
-from itertools import islice
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.aggregate.result import AggregateResult
 from repro.algebra.monoid import monoid_for
@@ -90,16 +90,16 @@ def database_from_dict(payload: Mapping) -> AnnotatedDatabase:
 # Polynomials
 # ----------------------------------------------------------------------
 def polynomial_to_list(polynomial: Polynomial) -> list:
-    """A JSON-ready representation of an N[X] polynomial."""
-    terms = []
-    for monomial in polynomial.monomials():
-        exponents = {
-            symbol: monomial.exponent(symbol) for symbol in monomial.support()
-        }
-        terms.append(
-            {"monomial": exponents, "coefficient": polynomial.coefficient(monomial)}
-        )
-    return terms
+    """A JSON-ready representation of an N[X] polynomial.
+
+    Each term's ``monomial`` is a copy of the monomial's own count
+    mapping, in whatever key order it holds: :func:`canonical_json`
+    sorts keys, so the encoded bytes do not depend on it.
+    """
+    return [
+        {"monomial": monomial.factors.counts, "coefficient": coefficient}
+        for monomial, coefficient in polynomial.sorted_terms()
+    ]
 
 
 def polynomial_from_list(payload) -> Polynomial:
@@ -170,19 +170,14 @@ def query_from_text(text: str) -> Query:
     return parse_query(text)
 
 
-def result_rows(results: Mapping[Row, Polynomial]) -> Iterator[dict]:
-    """The rows of :func:`results_to_list`, one at a time.
-
-    For encoders that serialize row by row, so a large table's JSON-ready
-    form never exists all at once.
-    """
-    for output, polynomial in sorted(results.items(), key=lambda kv: repr(kv[0])):
-        yield {"tuple": list(output), "provenance": polynomial_to_list(polynomial)}
-
-
 def results_to_list(results: Mapping[Row, Polynomial]) -> list:
     """A JSON-ready representation of an annotated result table."""
-    return list(result_rows(results))
+    return [
+        {"tuple": list(output), "provenance": polynomial_to_list(polynomial)}
+        for output, polynomial in sorted(
+            results.items(), key=lambda kv: repr(kv[0])
+        )
+    ]
 
 
 def results_from_list(payload) -> Dict[Row, Polynomial]:
@@ -260,21 +255,23 @@ def semimodule_from_dict(payload: Mapping) -> SemimoduleElement:
     return SemimoduleElement(monoid, terms)
 
 
-def aggregate_result_rows(results: Mapping[Row, AggregateResult]) -> Iterator[dict]:
-    """The rows of :func:`aggregate_results_to_list`, one at a time."""
-    for group, result in sorted(results.items(), key=lambda kv: repr(kv[0])):
-        yield {
-            "group": list(group),
-            "provenance": polynomial_to_list(result.provenance),
-            "aggregates": [
-                semimodule_to_dict(element) for element in result.aggregates
-            ],
-        }
+def aggregate_result_to_dict(group: Row, result: AggregateResult) -> dict:
+    """One row of :func:`aggregate_results_to_list`."""
+    return {
+        "group": list(group),
+        "provenance": polynomial_to_list(result.provenance),
+        "aggregates": [
+            semimodule_to_dict(element) for element in result.aggregates
+        ],
+    }
 
 
 def aggregate_results_to_list(results: Mapping[Row, AggregateResult]) -> list:
     """A JSON-ready representation of an aggregated K-relation."""
-    return list(aggregate_result_rows(results))
+    return [
+        aggregate_result_to_dict(group, result)
+        for group, result in sorted(results.items(), key=lambda kv: repr(kv[0]))
+    ]
 
 
 def aggregate_results_from_list(payload) -> Dict[Row, AggregateResult]:
@@ -322,12 +319,44 @@ def canonical_json(payload) -> bytes:
 
 
 #: One shared encoder: ``json.dumps`` with options builds a new one per call.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_dumps = _JSON.encode
 
-#: Rows encoded per encoder call by :func:`encode_table`: enough to
-#: amortize the call (it costs as much as a small row), few enough that
-#: their JSON-ready form stays small whatever the table's size.
-_ROWS_PER_CALL = 256
+
+def _fragment_encoder():
+    """``_dumps`` for one small value, less its per-call set-up.
+
+    ``JSONEncoder.encode`` builds a fresh C encoder on every call, which
+    costs as much as encoding a small table row; a row-at-a-time
+    encoder keeps one.  It skips the circular-reference check (the
+    payloads are fresh trees) and falls back to ``_dumps`` where the C
+    accelerator is missing.
+    """
+    if c_make_encoder is None:  # pragma: no cover - CPython ships _json
+        return _dumps
+    encoder = c_make_encoder(
+        None, _JSON.default, encode_basestring_ascii, None,
+        ":", ",", True, False, True,
+    )
+    return lambda value: "".join(encoder(value, 0))
+
+
+#: Canonical JSON text of one value (no trailing newline).
+fragment_json = _fragment_encoder()
+
+
+def polynomial_json(polynomial: Polynomial) -> str:
+    """``canonical_json(polynomial_to_list(polynomial))`` as text."""
+    return fragment_json(polynomial_to_list(polynomial))
+
+
+def result_row_json(row: Row, provenance_json: str) -> str:
+    """One row of a polynomial table body, from its polynomial's
+    :func:`polynomial_json` — so a caller holding that text (the view
+    registry keeps it per row) re-encodes only the tuple."""
+    return '{{"provenance":{},"tuple":{}}}'.format(
+        provenance_json, fragment_json(list(row))
+    )
 
 
 def encode_results(results: Mapping, aggregate: Optional[bool] = None) -> dict:
@@ -346,23 +375,36 @@ def encode_results(results: Mapping, aggregate: Optional[bool] = None) -> dict:
     return {"kind": "polynomial", "results": results_to_list(results)}
 
 
-def encode_table(results: Mapping, aggregate: bool, **tail) -> bytes:
-    """``canonical_json({**encode_results(results, aggregate), **tail})``,
-    a few rows at a time: the JSON-ready form of a big table (several
-    times its encoding) is never built, let alone kept.
+def encode_rows(aggregate: bool, fragments: Iterable[str], **tail) -> bytes:
+    """Splice row fragments into a table body: ``canonical_json({"kind":
+    ..., "results": [rows], **tail})`` without re-encoding any row.
 
     Byte-identical as long as every ``tail`` key sorts after
     ``"results"`` (``version`` and ``view`` do).
     """
-    kind, rows = "polynomial", result_rows(results)
-    if aggregate:
-        kind, rows = "aggregate", aggregate_result_rows(results)
-    encoded = []
-    while chunk := list(islice(rows, _ROWS_PER_CALL)):
-        encoded.append(_dumps(chunk)[1:-1])  # the list's items, less its brackets
-    return '{{"kind":"{}","results":[{}],{}\n'.format(
-        kind, ",".join(encoded), _dumps(tail)[1:]
+    return '{{"kind":"{}","results":[{}]{}}}\n'.format(
+        "aggregate" if aggregate else "polynomial",
+        ",".join(fragments),
+        "," + _dumps(tail)[1:-1] if tail else "",
     ).encode("utf-8")
+
+
+def encode_table(results: Mapping, aggregate: bool, **tail) -> bytes:
+    """``canonical_json({**encode_results(results, aggregate), **tail})``,
+    one row fragment at a time: the JSON-ready form of a big table
+    (several times its encoding) is never built, let alone kept."""
+    rows = sorted(results.items(), key=lambda kv: repr(kv[0]))
+    if aggregate:
+        fragments = [
+            fragment_json(aggregate_result_to_dict(group, result))
+            for group, result in rows
+        ]
+    else:
+        fragments = [
+            result_row_json(row, polynomial_json(polynomial))
+            for row, polynomial in rows
+        ]
+    return encode_rows(aggregate, fragments, **tail)
 
 
 # ----------------------------------------------------------------------

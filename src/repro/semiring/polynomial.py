@@ -262,6 +262,10 @@ class Polynomial:
         """Distinct monomials, in deterministic order."""
         return sorted(self._terms.keys(), key=lambda m: m.symbols)
 
+    def sorted_terms(self) -> List[Tuple[Monomial, int]]:
+        """``(monomial, coefficient)`` pairs in :meth:`monomials` order."""
+        return sorted(self._terms.items(), key=lambda term: term[0].symbols)
+
     def monomial_count(self) -> int:
         """Number of monomial *occurrences* (sum of coefficients).
 

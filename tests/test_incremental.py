@@ -20,11 +20,7 @@ from repro.db.generators import random_cq, random_database, random_ucq
 from repro.db.instance import AnnotatedDatabase
 from repro.engine.evaluate import evaluate
 from repro.errors import EvaluationError, SchemaError
-from repro.incremental.delta import (
-    Delta,
-    HashIndexes,
-    delta_provenance,
-)
+from repro.incremental.delta import Delta, delta_provenance
 from repro.incremental.maintain import (
     check_consistency,
     full_recompute,
@@ -168,29 +164,26 @@ class TestDeletionHelpers:
 
 
 class TestHashIndexes:
+    """The database's maintained indexes, which the delta join probes."""
+
     def test_lookup_builds_lazily_and_filters(self):
         db = simple_db()
-        indexes = HashIndexes(db)
-        assert indexes.built_count() == 0
-        assert indexes.lookup("R", (0,), ("a",)) == [("a", "b")]
-        assert indexes.built_count() == 1
-        assert indexes.lookup("R", (0,), ("zzz",)) == ()
+        assert db.indexed_positions() == []
+        assert db.lookup("R", (0,), ("a",)) == [("a", "b")]
+        assert db.indexed_positions() == [("R", (0,))]
+        assert db.lookup("R", (0,), ("zzz",)) == ()
 
     def test_empty_mask_scans(self):
         db = simple_db()
-        indexes = HashIndexes(db)
-        assert sorted(indexes.lookup("R", (), ())) == sorted(db.rows("R"))
+        assert sorted(db.lookup("R", (), ())) == sorted(db.rows("R"))
 
     def test_maintained_under_updates(self):
         db = simple_db()
-        indexes = HashIndexes(db)
-        indexes.lookup("R", (1,), ("b",))  # build
+        db.lookup("R", (1,), ("b",))  # build
         db.add("R", ("z", "b"))
-        indexes.insert("R", ("z", "b"))
-        assert sorted(indexes.lookup("R", (1,), ("b",))) == [("a", "b"), ("z", "b")]
+        assert sorted(db.lookup("R", (1,), ("b",))) == [("a", "b"), ("z", "b")]
         db.remove("R", ("a", "b"))
-        indexes.remove("R", ("a", "b"))
-        assert indexes.lookup("R", (1,), ("b",)) == [("z", "b")]
+        assert db.lookup("R", (1,), ("b",)) == [("z", "b")]
 
 
 class TestDeltaProvenance:
@@ -233,7 +226,7 @@ class TestDeltaProvenance:
                 inserted.setdefault(relation, set()).add(row)
         if not inserted:
             pytest.skip("sample landed entirely on existing rows")
-        increase = delta_provenance(query, new_db, HashIndexes(new_db), inserted)
+        increase = delta_provenance(query, new_db, inserted)
         assert increase == self.brute_force_increase(query, old_db, new_db)
 
     def test_union_adjunct_increases_add_up(self):
@@ -248,9 +241,7 @@ class TestDeltaProvenance:
         for relation, row, annotation in db.all_facts():
             new_db.add(relation, row, annotation=annotation)
         new_db.add("R", ("c", "b"), annotation="s9")
-        increase = delta_provenance(
-            query, new_db, HashIndexes(new_db), {"R": {("c", "b")}}
-        )
+        increase = delta_provenance(query, new_db, {"R": {("c", "b")}})
         assert increase == {("c",): Polynomial.parse("s9 + s2*s9")}
 
 

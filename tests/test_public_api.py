@@ -10,7 +10,7 @@ class TestAllExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
 
     def test_subpackage_alls_resolve(self):
         import repro.aggregate

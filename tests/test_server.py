@@ -975,6 +975,24 @@ class TestLeakedSessions:
         assert not finalizer.alive
 
 
+class TestShutdown:
+    def test_threaded_shutdown_returns_within_50_ms(self):
+        """The serve loop notices ``shutdown()`` at its next poll; with
+        socketserver's default 0.5 s poll a stop took 0.25 s on average."""
+        waits = []
+        for _ in range(3):
+            server = make_server(small_db())
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            time.sleep(0.03)  # let the loop settle into its poll
+            started = time.perf_counter()
+            server.shutdown()
+            waits.append(time.perf_counter() - started)
+            server.close()
+            thread.join(timeout=10)
+        assert sorted(waits)[1] < 0.05, waits
+
+
 # ----------------------------------------------------------------------
 # Observability: /metrics, traced queries, request logging
 # ----------------------------------------------------------------------
